@@ -1,24 +1,18 @@
-// Fabric lock contention under real multi-threaded traffic, across
-// message transports.
+// Fabric lock contention under real multi-threaded traffic.
 //
 // The pre-shard fabric serialized every operation — sends, receives,
 // clock ticks, stats — on one mutex, so P threads measured lock handoff
 // latency, not the XDP cost model. With per-endpoint mailbox locks plus a
 // separate rendezvous-matcher lock, disjoint direct traffic should scale
 // with the thread count; the Mixed variant prices the one shared matcher
-// critical section against that baseline. The second argument selects
-// the transport (0 = locked inline delivery, 1 = lock-free ring): the
-// ring fast path removes the destination-lock round-trip from the send
-// side entirely, so its headroom over locked is the price of inline
-// delivery under contention.
+// critical section against that baseline.
 //
-// Each benchmark runs P OS threads (Args: P = 4/16/64/256 x transport).
-// Every thread posts a receive for its own name and sends to its
-// partner's (pid ^ 1), so traffic is balanced per endpoint and everything
-// drains inside the iteration (a final pollAll reaps ring stragglers) —
-// msgs_per_sec means completed deliveries. The `delivered` counter is the
-// deterministic per-iteration completion count that PERF_TRAJECTORY.json
-// tracks; never gate on the wall-clock rate.
+// Each benchmark runs P OS threads (Arg: P = 4/16/64/256). Every thread
+// posts a receive for its own name and sends to its partner's (pid ^ 1),
+// so traffic is balanced per endpoint and everything drains inside the
+// iteration — msgs_per_sec means completed deliveries. The `delivered`
+// counter is the deterministic per-iteration completion count that
+// PERF_TRAJECTORY.json tracks; never gate on the wall-clock rate.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -45,10 +39,7 @@ Name threadName(int pid) { return Name{pid, Section{Triplet(0, 7)}, {}}; }
 // the matchmaker instead of directly to the partner.
 void runTrafficLoop(benchmark::State& state, int rendezvousEvery) {
   const int nprocs = static_cast<int>(state.range(0));
-  net::TransportOptions topts;
-  topts.kind = state.range(1) == 0 ? net::TransportKind::Locked
-                                   : net::TransportKind::Ring;
-  Fabric f(nprocs, net::CostModel{}, topts);
+  Fabric f(nprocs);
   const std::vector<std::byte> payload(64);
   for (auto _ : state) {
     net::runSpmd(nprocs, [&](int pid) {
@@ -63,7 +54,6 @@ void runTrafficLoop(benchmark::State& state, int rendezvousEvery) {
                rendezvous ? std::nullopt : std::optional<int>(partner));
       }
     });
-    f.pollAll();  // reap ring stragglers (the last few in-flight sends)
     f.clearMatchState();  // hygiene between iterations; queues are empty
     f.resetClocks();
   }
@@ -73,14 +63,14 @@ void runTrafficLoop(benchmark::State& state, int rendezvousEvery) {
   state.counters["msgs_per_sec"] =
       benchmark::Counter(msgs, benchmark::Counter::kIsRate);
   // Deterministic completions per iteration: every send must have been
-  // delivered, on either transport. Gated by PERF_TRAJECTORY.json.
+  // delivered. Gated by PERF_TRAJECTORY.json.
   state.counters["delivered"] = benchmark::Counter(
       static_cast<double>(f.totalStats().messagesReceived) /
       static_cast<double>(state.iterations()));
 }
 
 // Disjoint pairwise direct traffic: touches only the two endpoint locks
-// involved (none on the ring fast path), so throughput should rise with P
+// involved, so throughput should rise with P
 // until cores run out.
 void BM_FabricContention_Direct(benchmark::State& state) {
   runTrafficLoop(state, 0);
@@ -95,11 +85,13 @@ void BM_FabricContention_Mixed(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_FabricContention_Direct)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1}})
+    ->RangeMultiplier(4)
+    ->Range(4, 256)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_FabricContention_Mixed)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1}})
+    ->RangeMultiplier(4)
+    ->Range(4, 256)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -56,9 +56,7 @@ CannonResult runCannon(const CannonConfig& cfg) {
   const Grid gr{cfg.n, cfg.n / cfg.q, cfg.q};
   const int P = cfg.q * cfg.q;
 
-  rt::RuntimeOptions ropts;
-  ropts.transport = cfg.transport;
-  rt::Runtime runtime(P, ropts);
+  rt::Runtime runtime(P);
   Section g{Triplet(1, cfg.n), Triplet(1, cfg.n)};
   Distribution d2(g, {DimSpec::block(cfg.q), DimSpec::block(cfg.q)});
   const int A = runtime.declareArray<double>("A", g, d2);

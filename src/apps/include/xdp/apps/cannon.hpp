@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "xdp/net/transport.hpp"
 #include "xdp/rt/proc.hpp"
 
 namespace xdp::apps {
@@ -38,8 +37,6 @@ struct CannonConfig {
   ShiftPlan plan = ShiftPlan::OwnershipShift;
   std::uint64_t seed = 21;
   double flopCost = 0.0;  ///< modeled cost per multiply-add
-  /// Fabric transport (locked inline delivery vs lock-free ring).
-  net::TransportOptions transport{};
 };
 
 struct CannonResult {

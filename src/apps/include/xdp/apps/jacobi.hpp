@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "xdp/net/transport.hpp"
 #include "xdp/rt/proc.hpp"
 
 namespace xdp::apps {
@@ -35,8 +34,6 @@ struct JacobiConfig {
   bool bindDestinations = true;  ///< direct sends vs matchmaker routing
   std::uint64_t seed = 11;
   double flopCost = 0.0;  ///< modeled cost per stencil point
-  /// Fabric transport (locked inline delivery vs lock-free ring).
-  net::TransportOptions transport{};
 };
 
 struct JacobiResult {

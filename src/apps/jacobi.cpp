@@ -26,9 +26,7 @@ JacobiResult runJacobi(const JacobiConfig& cfg) {
   const Index n = cfg.rows, m = cfg.cols;
   const int P = cfg.nprocs;
 
-  rt::RuntimeOptions ropts;
-  ropts.transport = cfg.transport;
-  rt::Runtime runtime(P, ropts);
+  rt::Runtime runtime(P);
   Section g{Triplet(1, n), Triplet(1, m)};
   Distribution rowBlock(g, {DimSpec::block(P), DimSpec::collapsed()});
   const int A = runtime.declareArray<double>("A", g, rowBlock);

@@ -1,7 +1,6 @@
 #include "xdp/net/fabric.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -65,13 +64,8 @@ NetStats& NetStats::operator+=(const NetStats& o) {
   return *this;
 }
 
-Fabric::Fabric(int nprocs, CostModel model, TransportOptions transport)
-    : nprocs_(nprocs),
-      model_(model),
-      transport_(makeTransport(std::max(nprocs, 1), transport)),
-      ringActive_(transport_->kind() == TransportKind::Ring),
-      reapBatch_(std::max<std::uint32_t>(transport.reapBatch, 1)),
-      eps_(static_cast<std::size_t>(nprocs)) {
+Fabric::Fabric(int nprocs, CostModel model)
+    : nprocs_(nprocs), model_(model), eps_(static_cast<std::size_t>(nprocs)) {
   XDP_CHECK(nprocs >= 1, "fabric needs at least one endpoint");
   if (auto plan = currentGlobalFaultPlan()) {
     injector_ = std::make_unique<FaultInjector>(*plan, nprocs_);
@@ -190,56 +184,6 @@ void Fabric::purgeDuplicate(std::uint64_t dupId) {
   }
 }
 
-void Fabric::deliverLocked(Endpoint& e, Message msg, DeliveryEffects& fx) {
-  const std::uint64_t dupId = msg.dupId;
-  bool consumed = false;
-  for (auto it = e.pending.begin(); it != e.pending.end(); ++it) {
-    if (!matches(it->name, it->kind, msg.name, msg.kind)) continue;
-    if (tryCompleteLocked(e, *it, std::move(msg))) {
-      // The completed receive may have registered rendezvous interest;
-      // retiring it (and purging a completed duplicate's twin) takes the
-      // matcher / other endpoints' locks, so both are deferred into `fx`
-      // until this endpoint's lock is released.
-      fx.cancels.push_back(it->id);
-      if (dupId != 0) fx.purges.push_back(dupId);
-      e.pending.erase(it);
-    }
-    // On suppression the receive stays posted (its real message is the
-    // twin that already completed elsewhere or is still in flight for
-    // another receive); this copy is simply gone.
-    consumed = true;
-    break;
-  }
-  // Park-or-suppress under the endpoint lock: a copy whose twin
-  // completes after this check is removed by that completion's purge,
-  // which takes e.mu after us.
-  if (!consumed && !dupSuppressed(msg)) e.unexpected.push_back(std::move(msg));
-}
-
-std::size_t Fabric::reapLocked(int dst, Endpoint& e, std::size_t max,
-                               DeliveryEffects& fx) {
-  if (!ringActive_) return 0;
-  struct DeliverSink final : Transport::Sink {
-    Fabric* f = nullptr;
-    Endpoint* e = nullptr;
-    DeliveryEffects* fx = nullptr;
-    void operator()(Message&& m) override {
-      f->deliverLocked(*e, std::move(m), *fx);
-    }
-  } sink;
-  sink.f = this;
-  sink.e = &e;
-  sink.fx = &fx;
-  return transport_->reap(dst, max, sink);
-}
-
-void Fabric::applyEffects(DeliveryEffects& fx) {
-  for (ReceiveId id : fx.cancels) cancelMatcherInterest(id);
-  for (std::uint64_t d : fx.purges) purgeDuplicate(d);
-  fx.cancels.clear();
-  fx.purges.clear();
-}
-
 void Fabric::cancelMatcherInterest(ReceiveId id) {
   std::lock_guard mk(matcherMu_);
   if (matcherLive_.erase(id) == 0) return;  // never registered, or taken
@@ -256,27 +200,37 @@ void Fabric::compactMatcherLocked() {
   matcherDead_ = 0;
 }
 
-void Fabric::deliverDirect(int dst, Message msg, bool allowFast) {
-  if (ringActive_ && allowFast) {
-    const int src = msg.src;
-    if (transport_->trySubmit(src, dst, std::move(msg))) {
-      // Queued; the receiver completes it at its next reap. Wake a parked
-      // receiver with no fabric lock held.
-      if (wakeHook_) wakeHook_(dst);
-      return;
-    }
-    // Ring full: fall through to inline delivery (`msg` is untouched).
-  }
+void Fabric::deliverDirect(int dst, Message msg) {
   Endpoint& e = ep(dst);
-  DeliveryEffects fx;
+  const std::uint64_t dupId = msg.dupId;
+  ReceiveId cancelId = 0;
   {
     std::lock_guard lk(e.mu);
-    // Drain queued descriptors first so this inline message can never
-    // overtake an earlier submission on the same (src, dst) route.
-    reapLocked(dst, e, std::numeric_limits<std::size_t>::max(), fx);
-    deliverLocked(e, std::move(msg), fx);
+    bool consumed = false;
+    for (auto it = e.pending.begin(); it != e.pending.end(); ++it) {
+      if (!matches(it->name, it->kind, msg.name, msg.kind)) continue;
+      if (tryCompleteLocked(e, *it, std::move(msg))) {
+        cancelId = it->id;
+        e.pending.erase(it);
+      }
+      // On suppression the receive stays posted (its real message is the
+      // twin that already completed elsewhere or is still in flight for
+      // another receive); this copy is simply gone.
+      consumed = true;
+      break;
+    }
+    // Park-or-suppress under the endpoint lock: a copy whose twin
+    // completes after this check is removed by that completion's purge,
+    // which takes e.mu after us.
+    if (!consumed && !dupSuppressed(msg))
+      e.unexpected.push_back(std::move(msg));
   }
-  applyEffects(fx);
+  if (cancelId == 0) return;
+  // The completed receive may have registered rendezvous interest;
+  // retiring it (and purging a completed duplicate's twin) takes the
+  // matcher / other endpoints' locks, so both wait until e.mu is released.
+  cancelMatcherInterest(cancelId);
+  if (dupId != 0) purgeDuplicate(dupId);
 }
 
 void Fabric::routeRendezvous(Message msg) {
@@ -313,14 +267,8 @@ void Fabric::routeRendezvous(Message msg) {
     Endpoint& e = ep(entry->pid);
     bool completed = false;
     bool suppressed = false;
-    DeliveryEffects fx;
     {
       std::lock_guard lk(e.mu);
-      // Drain queued descriptors first: a ring-queued direct message may
-      // be older than this rendezvous one and must get first claim on the
-      // receive (if it takes it, the by-id scan below turns up empty and
-      // the stale-retry path re-circulates our message).
-      reapLocked(entry->pid, e, std::numeric_limits<std::size_t>::max(), fx);
       for (auto it = e.pending.begin(); it != e.pending.end(); ++it) {
         if (it->id != entry->id) continue;
         if (tryCompleteLocked(e, *it, std::move(msg))) {
@@ -332,7 +280,6 @@ void Fabric::routeRendezvous(Message msg) {
         break;
       }
     }
-    applyEffects(fx);
     if (completed) {
       if (dupId != 0) purgeDuplicate(dupId);
       return;
@@ -351,14 +298,11 @@ void Fabric::routeRendezvous(Message msg) {
   }
 }
 
-void Fabric::route(Message msg, std::optional<int> dest, bool allowFast) {
+void Fabric::route(Message msg, std::optional<int> dest) {
   if (dest.has_value()) {
-    deliverDirect(*dest, std::move(msg), allowFast);
+    deliverDirect(*dest, std::move(msg));
     return;
   }
-  // Rendezvous sends always pair inline: the matcher decision needs the
-  // sending thread anyway, and the extra control hop is already the
-  // dominant modeled cost.
   routeRendezvous(std::move(msg));
 }
 
@@ -395,7 +339,7 @@ void Fabric::send(int src, const Name& name, TransferKind kind,
     faultSend(src, std::move(msg), dest);
     return;
   }
-  route(std::move(msg), dest, /*allowFast=*/true);
+  route(std::move(msg), dest);
 }
 
 void Fabric::faultSend(int src, Message msg, std::optional<int> dest) {
@@ -463,9 +407,7 @@ void Fabric::faultSend(int src, Message msg, std::optional<int> dest) {
     crashHook_(src);
     throw ckpt::RollbackSignal{src};
   }
-  // Everything in `out` originates from `src`, whose sending thread we
-  // are — the SPSC producer role holds, so the fast path stays open.
-  for (auto& [m, d] : out) route(std::move(m), d, /*allowFast=*/true);
+  for (auto& [m, d] : out) route(std::move(m), d);
 }
 
 void Fabric::sendToSet(int src, const Name& name, TransferKind kind,
@@ -492,20 +434,13 @@ ReceiveId Fabric::postReceiveImpl(int pid, const Name& name,
   Endpoint& e = ep(pid);
   const ReceiveId id = nextId_.fetch_add(1, std::memory_order_relaxed);
 
-  // Phase 1 (endpoint lock): reap queued transport descriptors (batched —
-  // this is the ring backend's main completion point), then complete from
-  // the unexpected queue, or post the receive so a concurrent direct send
-  // can find it.
+  // Phase 1 (endpoint lock): complete from the unexpected queue, or post
+  // the receive so a concurrent direct send can find it.
   {
     bool done = false;
     std::uint64_t purgeId = 0;
-    DeliveryEffects fx;
     {
       std::lock_guard lk(e.mu);
-      // Before pr.postClock is read: reaped completions may advance
-      // e.clock (unexpected-copy penalty), exactly as their inline
-      // delivery would have under the locked backend.
-      reapLocked(pid, e, reapBatch_, fx);
       PendingReceive pr{id, name, kind, std::move(fn), e.clock,
                        std::move(desc)};
       for (auto it = e.unexpected.begin(); it != e.unexpected.end();) {
@@ -528,7 +463,6 @@ ReceiveId Fabric::postReceiveImpl(int pid, const Name& name,
       }
       if (!done) e.pending.push_back(std::move(pr));
     }
-    applyEffects(fx);
     if (done) {
       if (purgeId != 0) purgeDuplicate(purgeId);
       return id;
@@ -559,12 +493,8 @@ ReceiveId Fabric::postReceiveImpl(int pid, const Name& name,
     const std::uint64_t dupId = paired->dupId;
     bool completed = false;
     bool stale = true;
-    DeliveryEffects fx;
     {
       std::lock_guard lk(e.mu);
-      // Same drain-first rule as the rendezvous completion: an older
-      // ring-queued direct message gets first claim on this receive.
-      reapLocked(pid, e, std::numeric_limits<std::size_t>::max(), fx);
       for (auto it = e.pending.begin(); it != e.pending.end(); ++it) {
         if (it->id != id) continue;
         stale = false;
@@ -577,7 +507,6 @@ ReceiveId Fabric::postReceiveImpl(int pid, const Name& name,
         break;
       }
     }
-    applyEffects(fx);
     if (completed) {
       if (dupId != 0) purgeDuplicate(dupId);
       return id;
@@ -604,13 +533,8 @@ void Fabric::barrier(int pid) {
         if (injector_->hasHeld(pid)) due = injector_->takeHeld(pid);
       }
     }
-    // The entrant is pid's own sending thread, so the fast path is open.
-    if (due.has_value()) route(std::move(due->msg), due->dest, true);
+    if (due.has_value()) route(std::move(due->msg), due->dest);
   }
-  // Drain the entrant's own transport inbox before its entry clock is
-  // read: deferred deliveries (and their unexpected-copy penalties) must
-  // land pre-barrier, as the locked backend's inline deliveries do.
-  if (ringActive_) poll(pid, std::numeric_limits<std::size_t>::max());
   double myClock;
   {
     Endpoint& e = ep(pid);
@@ -634,24 +558,6 @@ void Fabric::barrier(int pid) {
     // Lock order barrierMu_ -> endpoint is taken only here; barrier
     // entrants never hold an endpoint lock when acquiring barrierMu_, so
     // this cannot deadlock.
-    if (ringActive_) {
-      // Every endpoint's queued descriptors must land before the release
-      // clock is applied: with the locked backend those messages were
-      // delivered inline pre-barrier, and their unexpected-copy penalties
-      // belong on the pre-release clocks. Applying each endpoint's
-      // deferred effects right after its unlock keeps the never-held-
-      // together rule intact (barrierMu_ -> matcher is a fresh edge, but
-      // no path acquires barrierMu_ while holding the matcher lock).
-      for (int p = 0; p < nprocs_; ++p) {
-        Endpoint& e = ep(p);
-        DeliveryEffects fx;
-        {
-          std::lock_guard g(e.mu);
-          reapLocked(p, e, std::numeric_limits<std::size_t>::max(), fx);
-        }
-        applyEffects(fx);
-      }
-    }
     for (auto& e : eps_) {
       std::lock_guard g(e.mu);
       e.clock = std::max(e.clock, release);
@@ -681,49 +587,6 @@ void Fabric::notifyBarrierWaiters() {
   barrierCv_.notify_all();
 }
 
-std::size_t Fabric::poll(int pid, std::size_t max) {
-  checkPid(pid, "poll");
-  if (!ringActive_ || transport_->backlog(pid) == 0) return 0;
-  if (max == 0) max = reapBatch_;
-  Endpoint& e = ep(pid);
-  DeliveryEffects fx;
-  std::size_t n;
-  {
-    std::lock_guard lk(e.mu);
-    n = reapLocked(pid, e, max, fx);
-  }
-  applyEffects(fx);
-  return n;
-}
-
-std::size_t Fabric::pollAll() {
-  if (!ringActive_) return 0;
-  std::size_t total = 0;
-  // Sweep until a whole pass reaps nothing: reaps never create new
-  // submissions themselves, but concurrent senders may still be landing
-  // messages while early endpoints are drained.
-  for (;;) {
-    std::size_t n = 0;
-    for (int p = 0; p < nprocs_; ++p)
-      n += poll(p, std::numeric_limits<std::size_t>::max());
-    total += n;
-    if (n == 0) return total;
-  }
-}
-
-std::size_t Fabric::transportBacklog(int pid) const {
-  checkPid(pid, "transportBacklog");
-  return transport_->backlog(pid);
-}
-
-std::size_t Fabric::totalTransportBacklog() const {
-  return transport_->totalBacklog();
-}
-
-void Fabric::setDeliveryWake(std::function<void(int)> hook) {
-  wakeHook_ = std::move(hook);
-}
-
 NetStats Fabric::stats(int pid) const {
   checkPid(pid, "stats");
   const Endpoint& e = ep(pid);
@@ -748,7 +611,7 @@ void Fabric::resetStats() {
 }
 
 std::size_t Fabric::undeliveredCount() const {
-  std::size_t n = transport_->totalBacklog();
+  std::size_t n = 0;
   {
     std::lock_guard mk(matcherMu_);
     n += matcherMsgs_.size();
@@ -773,10 +636,6 @@ void Fabric::clearMatchState() { (void)drain(); }
 
 DrainReport Fabric::drain() {
   DrainReport r;
-  // Transport-queued messages were never matched; count them with the
-  // other unmatched residue. Drain runs at region/session boundaries with
-  // no traffic in flight, which is discardAll's contract.
-  r.unmatchedMessages += transport_->discardAll();
   {
     std::lock_guard mk(matcherMu_);
     r.unmatchedMessages += matcherMsgs_.size();
@@ -815,9 +674,7 @@ void Fabric::setFaultPlan(const FaultPlan& plan) {
     dupSuppressedCount_.store(0, std::memory_order_relaxed);
     faultsActive_.store(true, std::memory_order_release);
   }
-  // Plan-swap releases may run off the holders' sending threads, so the
-  // SPSC fast path stays closed for them (same for the flushes below).
-  for (auto& h : due) route(std::move(h.msg), h.dest, /*allowFast=*/false);
+  for (auto& h : due) route(std::move(h.msg), h.dest);
 }
 
 void Fabric::clearFaultPlan() {
@@ -829,7 +686,7 @@ void Fabric::clearFaultPlan() {
     injector_.reset();
     faultsActive_.store(false, std::memory_order_release);
   }
-  for (auto& h : due) route(std::move(h.msg), h.dest, /*allowFast=*/false);
+  for (auto& h : due) route(std::move(h.msg), h.dest);
 }
 
 bool Fabric::hasFaultPlan() const {
@@ -857,7 +714,7 @@ std::size_t Fabric::flushHeldFaults() {
     std::shared_lock fk(faultMu_);
     if (injector_) due = injector_->takeAllHeld();
   }
-  for (auto& h : due) route(std::move(h.msg), h.dest, /*allowFast=*/false);
+  for (auto& h : due) route(std::move(h.msg), h.dest);
   return due.size();
 }
 
@@ -900,7 +757,6 @@ FabricSnapshot Fabric::snapshot() const {
     std::shared_lock fk(faultMu_);
     snap.heldFaults = injector_ ? injector_->heldCount() : 0;
   }
-  snap.transportBacklog = transport_->totalBacklog();
   {
     std::lock_guard lk(barrierMu_);
     snap.barrierWaiters = barrierCount_;
@@ -963,11 +819,6 @@ void Fabric::disarmCrashes() {
 }
 
 std::vector<std::byte> Fabric::exportImage() const {
-  // The image format has no representation for transport-queued messages;
-  // callers (the checkpoint layer) must pollAll() to quiescence first.
-  if (const std::size_t q = transport_->totalBacklog(); q != 0)
-    throw ckpt::CkptError("transport backlog not drained before export (" +
-                          std::to_string(q) + " queued)");
   ckpt::Writer w;
   w.u32(static_cast<std::uint32_t>(nprocs_));
   // Pending-receive id -> (pid, position) so the matcher's FCFS interest
@@ -1111,10 +962,7 @@ void Fabric::restoreImage(const std::vector<std::byte>& image,
   const bool hasInjector = r.boolean();
 
   // Apply. Restore runs between rounds with no traffic in flight; locks
-  // are still taken so the store is clean under TSan. Any descriptors a
-  // crashed round left queued predate the snapshot's world and are
-  // dropped first.
-  transport_->discardAll();
+  // are still taken so the store is clean under TSan.
   std::vector<std::vector<MatcherEntry>> reposted(
       static_cast<std::size_t>(nprocs_));  // (pid, idx) -> rebuilt entry
   for (int p = 0; p < nprocs_; ++p) {

@@ -19,29 +19,21 @@
 //                 receives outstanding for the *same* name, and each
 //                 matching send is handed to the first waiter in line.
 //
-// Underneath the matching logic sits a pluggable Transport
-// (transport.hpp): `locked` delivers every message inline on the sending
-// thread (the original synchronous behaviour, still the default);
-// `ring` queues descriptors in per-(src,dst) lock-free SPSC rings and
-// defers delivery to the next *reap* of the destination. Reaping happens
-// under the destination endpoint's lock at every natural drain point —
-// postReceive (before the unexpected scan), barrier entry (own inbox)
-// and barrier release (all endpoints, so modeled clocks agree with the
-// locked backend), any inline delivery (so a ring message can never be
-// overtaken by a same-route inline one), and poll()/pollAll(). The
-// rt layer additionally polls from blocked awaits and wakes parked
-// receivers through the delivery-wake hook.
+// Delivery is synchronous and has one path: the sending thread delivers
+// inline under the destination endpoint's lock, so send() returns only
+// after its message completed a receive or was parked (as unexpected, or
+// at the matcher). Apart from messages a reorder fault holds back, nothing
+// is ever in flight between endpoints, which is what lets the runtime
+// read "every processor blocked" as a deadlock (DESIGN.md §12).
 //
 // Locking: the matching state is sharded so that P endpoints do not
 // serialize on one fabric-wide mutex.
 //
 //   * Each endpoint owns a mutex guarding its virtual clock, its traffic
 //     counters, its posted-but-unmatched receives and its
-//     unexpected-message queue — and the *consumer* side of its
-//     transport rings (reaps are serialized by it; ring producers take
-//     no lock at all). A direct send touches at most two endpoint
-//     locks, one at a time: the sender's (accounting) and then — only
-//     when delivering inline — the receiver's (delivery).
+//     unexpected-message queue. A direct send touches exactly two
+//     endpoint locks, one at a time: the sender's (accounting) and then
+//     the receiver's (delivery).
 //   * The rendezvous matcher (parked unspecified sends + registered
 //     receive interest) has its own mutex. An endpoint lock and the
 //     matcher lock are NEVER held together; cross-domain matching is a
@@ -79,7 +71,6 @@
 #include "xdp/net/cost_model.hpp"
 #include "xdp/net/fault.hpp"
 #include "xdp/net/message.hpp"
-#include "xdp/net/transport.hpp"
 
 namespace xdp::net {
 
@@ -174,22 +165,17 @@ struct FabricSnapshot {
   std::vector<RecvInfo> pendingReceives;
   std::vector<MsgInfo> undelivered;
   std::size_t heldFaults = 0;  ///< messages parked inside the fault injector
-  /// Messages queued in the transport, not yet reaped (ring backend;
-  /// always 0 for locked). Estimate from the backlog atomics — nothing is
-  /// popped, so a mid-run snapshot stays non-invasive.
-  std::size_t transportBacklog = 0;
   int barrierWaiters = 0;      ///< entrants of the current incomplete barrier
 };
 
 class Fabric {
  public:
   /// If a FaultScope is live, the new fabric adopts its plan.
-  Fabric(int nprocs, CostModel model = {}, TransportOptions transport = {});
+  Fabric(int nprocs, CostModel model = {});
   ~Fabric();
 
   int nprocs() const { return nprocs_; }
   const CostModel& model() const { return model_; }
-  TransportKind transportKind() const { return transport_->kind(); }
 
   /// --- virtual time ---------------------------------------------------
   /// All clock operations validate `pid` and throw UsageError on an
@@ -234,38 +220,12 @@ class Fabric {
   /// --- collectives ----------------------------------------------------
 
   /// Rendezvous of all endpoints; clocks advance to max + barrierCost.
-  /// Drains the entrant's transport inbox on entry and every endpoint's
-  /// on release, so deferred (ring) deliveries interact with the release
-  /// clock exactly as the locked backend's inline deliveries do.
   void barrier(int pid);
 
-  /// --- transport reaping ------------------------------------------------
-  /// With the ring transport, delivery is deferred until the destination
-  /// is reaped; these are the explicit reap entry points. Both are no-ops
-  /// (and cheap: one relaxed load) under the locked transport.
-
-  /// Reap up to `max` queued messages for `pid` (0 = the configured reap
-  /// batch), completing receives / parking unexpected as usual. Any
-  /// thread may call it; reaps for one endpoint serialize on its lock.
-  /// Returns the number of messages delivered.
-  std::size_t poll(int pid, std::size_t max = 0);
-
-  /// Drain every endpoint's queue completely. Called at region join /
-  /// before hygiene checks and checkpoint exports; raw-fabric users of
-  /// the ring transport must call it before asserting on stats or
-  /// draining match state.
-  std::size_t pollAll();
-
-  /// Queued-but-unreaped message estimate (always 0 under locked).
-  std::size_t transportBacklog(int pid) const;
-  std::size_t totalTransportBacklog() const;
-
-  /// Install (or clear) the deferred-delivery wake hook: called with the
-  /// destination pid after every successful transport submission, with no
-  /// fabric lock held, so the runtime can wake a receiver parked in an
-  /// await. Same publication discipline as setSendHook (set while no
-  /// traffic runs). Must not call back into the fabric.
-  void setDeliveryWake(std::function<void(int dst)> hook);
+  /// No-op for perfbench/src/trace.cpp: delivery is inline, nothing to reap.
+  void poll(int /*pid*/) {}
+  /// No-op for perfbench/src/trace.cpp: delivery is inline, nothing to reap.
+  void pollAll() {}
 
   /// --- accounting -----------------------------------------------------
   /// Safe to call at any time, including concurrently with traffic: each
@@ -401,15 +361,6 @@ class Fabric {
     TransferKind kind;
   };
 
-  /// Deferred lock-free work collected while an endpoint lock is held
-  /// (matcher-interest cancellations, duplicate purges); applied by
-  /// applyEffects() after the lock is released so the
-  /// endpoint/matcher-never-held-together rule survives batched reaping.
-  struct DeliveryEffects {
-    std::vector<ReceiveId> cancels;
-    std::vector<std::uint64_t> purges;
-  };
-
   Endpoint& ep(int pid) { return eps_[static_cast<std::size_t>(pid)]; }
   const Endpoint& ep(int pid) const {
     return eps_[static_cast<std::size_t>(pid)];
@@ -418,31 +369,12 @@ class Fabric {
   void checkPid(int pid, const char* what) const;
 
   /// Route a message: deliver directly or via the rendezvous matcher.
-  /// No locks held on entry. `allowFast` gates the transport fast path:
-  /// true only on the sending thread's own call chain (send/faultSend,
-  /// barrier-entry held-flush) — the SPSC producer role requires one
-  /// producer per source, so auxiliary routes (watchdog flushes, plan
-  /// teardown) always deliver inline.
-  void route(Message msg, std::optional<int> dest, bool allowFast);
+  /// No locks held on entry.
+  void route(Message msg, std::optional<int> dest);
 
-  /// Deliver msg at dst. With the fast path allowed and accepted, the
-  /// message is queued in the transport and the wake hook fires.
-  /// Otherwise delivery is inline: take the dst endpoint lock, drain the
-  /// transport first (FIFO: queued messages arrived earlier), then
-  /// complete a matching pending receive or park as unexpected.
-  void deliverDirect(int dst, Message msg, bool allowFast);
-
-  /// Inline delivery of one message at dst; caller holds e.mu. Cancels /
-  /// purges are deferred into `fx` (applied after the lock drops).
-  void deliverLocked(Endpoint& e, Message msg, DeliveryEffects& fx);
-
-  /// Reap up to `max` transport messages for dst into deliverLocked;
-  /// caller holds e.mu. Returns the number delivered.
-  std::size_t reapLocked(int dst, Endpoint& e, std::size_t max,
-                         DeliveryEffects& fx);
-
-  /// Apply deferred cancels/purges. No locks held on entry.
-  void applyEffects(DeliveryEffects& fx);
+  /// Deliver msg at dst under its endpoint lock: complete the first
+  /// matching pending receive, or park msg as unexpected.
+  void deliverDirect(int dst, Message msg);
 
   /// Retire a completed receive's matcher interest, if it registered any
   /// (O(1): erase from the live-id set; the FCFS deque entry goes stale
@@ -499,17 +431,6 @@ class Fabric {
   /// Barrier interrupt hook; same publication discipline as sendHook_.
   std::function<void()> barrierInterrupt_;
 
-  /// Deferred-delivery wake hook; same publication discipline as
-  /// sendHook_. Fired after every accepted transport submission.
-  std::function<void(int)> wakeHook_;
-
-  /// The descriptor mover underneath the matching logic (see
-  /// transport.hpp). ringActive_ caches kind()==Ring so the no-ring send
-  /// path pays one branch, not a virtual call.
-  std::unique_ptr<Transport> transport_;
-  const bool ringActive_;
-  const std::size_t reapBatch_;
-
   /// Endpoint shards. Sized once in the constructor; never resized, so
   /// the embedded mutexes stay put.
   std::vector<Endpoint> eps_;
@@ -519,9 +440,9 @@ class Fabric {
   /// O(1): erase its id from matcherLive_; its deque entry becomes dead
   /// weight that pairing scans skip and compactMatcherLocked() reclaims
   /// once dead entries outnumber live ones (amortized O(1) per cancel).
-  /// The pre-ring fabric instead scanned the FCFS deque on every direct
-  /// completion — quadratic under oversubscription, and the reason the
-  /// seed bench collapsed from 482k (P=16) to 147k msgs/s (P=64).
+  /// Scanning the FCFS deque on every direct completion instead is
+  /// quadratic under oversubscription: the seed bench collapsed from 482k
+  /// (P=16) to 147k msgs/s (P=64) that way.
   mutable std::mutex matcherMu_;
   std::deque<Message> matcherMsgs_;        // unspecified sends, unmatched
   std::deque<MatcherEntry> matcherRecvs_;  // receive interest, FCFS

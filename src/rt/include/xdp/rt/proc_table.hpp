@@ -253,17 +253,6 @@ class ProcTable {
   /// Wake every blocked await so it re-polls the interrupt hook.
   void notifyWaiters();
 
-  /// Install the deferred-delivery (ring transport) hook pair: `poll`
-  /// reaps this processor's fabric inbox (returning how many messages it
-  /// delivered), `backlog` reports whether anything is still queued.
-  /// Blocked awaits poll before parking — with the table lock dropped,
-  /// since fabric delivery re-enters this table through completion
-  /// callbacks — and re-poll instead of sleeping whenever the backlog is
-  /// nonzero, which together with the fabric's delivery-wake notify makes
-  /// parking lost-wakeup-free. Set while no node threads run.
-  void setFabricPoll(std::function<std::size_t()> poll,
-                     std::function<bool()> backlog);
-
  private:
   struct Pool {
     std::vector<std::byte> bytes;
@@ -380,8 +369,6 @@ class ProcTable {
   std::string abortSummary_;
   std::shared_ptr<const std::string> abortReport_;
   std::function<void()> waitInterrupt_;  ///< polled in await's wait loop
-  std::function<std::size_t()> fabricPoll_;  ///< drain my fabric inbox
-  std::function<bool()> fabricBacklog_;      ///< anything still queued?
 };
 
 }  // namespace xdp::rt

@@ -319,24 +319,8 @@ bool ProcTable::await(int sym, const Section& s, double* arrival) {
                  arrival != nullptr, arr);
       return st == 1;  // unowned: await returns false (Fig. 1)
     }
-    // Transitional, and deferred (ring-transport) deliveries are queued
-    // for this processor: reap them instead of parking. The table lock
-    // drops for the poll — delivery re-enters this table through
-    // completion callbacks (fabric endpoint lock -> table lock order) —
-    // and the loop then re-checks the awaited state, which the reap (or
-    // any concurrent inline delivery during the unlock window) may have
-    // decided.
-    if (fabricPoll_ && fabricBacklog_()) {
-      lk.unlock();
-      fabricPoll_();
-      lk.lock();
-      continue;
-    }
-    // Park. Publish what we wait on so the watchdog can tell a genuinely
-    // blocked processor from a running one. No unlock separates the
-    // backlog/state checks from cv_.wait, and the fabric's delivery-wake
-    // notify takes mu_, so a transport submission either lands before the
-    // check above or its notify finds us parked — no wake-up is lost.
+    // Transitional: park. Publish what we wait on so the watchdog can tell
+    // a genuinely blocked processor from a running one.
     wait_.parked = true;
     wait_.sym = sym;
     wait_.section = s;
@@ -787,13 +771,6 @@ void ProcTable::setWaitInterrupt(std::function<void()> fn) {
 void ProcTable::notifyWaiters() {
   std::lock_guard lk(mu_);
   cv_.notify_all();
-}
-
-void ProcTable::setFabricPoll(std::function<std::size_t()> poll,
-                              std::function<bool()> backlog) {
-  std::lock_guard lk(mu_);
-  fabricPoll_ = std::move(poll);
-  fabricBacklog_ = std::move(backlog);
 }
 
 std::vector<std::byte> ProcTable::exportImage() const {

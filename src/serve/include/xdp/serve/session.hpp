@@ -146,6 +146,7 @@ struct RecoveryReport {
   std::uint64_t snapshotRecords = 0; ///< record count of the newest one
   std::uint64_t recoveries = 0;      ///< crash rollbacks completed
   std::uint64_t fallbacks = 0;       ///< corrupt snapshots skipped at load
+  std::uint64_t captureFailures = 0; ///< captures that timed out
   bool resumed = false;              ///< session started from a spill file
   std::string spillPath;  ///< spill written on preemption ("" if none)
 };
@@ -199,9 +200,8 @@ struct SessionOptions {
   /// same stepHook and fabric hooks).
   interp::Backend backend = interp::Backend::TreeWalk;
   net::CostModel costModel{};
-  /// Message transport for each session's fabric (locked = inline
-  /// delivery, ring = lock-free SPSC fast path; see net::TransportOptions).
-  net::TransportOptions transport{};
+  /// Field-less; only perfbench/src/trace.cpp still reads it.
+  rt::TransportOptions transport{};
   RetryPolicy retry{};
   /// Directory for preemption spill files. Empty: a preempted session
   /// still reports Preempted but its snapshot is discarded (nothing to

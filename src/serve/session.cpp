@@ -310,7 +310,6 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
     rt::RuntimeOptions ropts;
     ropts.debugChecks = opts.debugChecks;
     ropts.costModel = opts.costModel;
-    ropts.transport = opts.transport;
     ropts.watchdogMs = opts.watchdogMs;
     ropts.watchdogPollMs = opts.watchdogPollMs;
     if (req.faultPlan.has_value()) {
@@ -384,6 +383,7 @@ SessionReport runSession(const SessionRequest& req, const SessionOptions& opts,
         rep.residentBytesAtTeardown += rt.table(p).residentBytes();
       if (rt.checkpointingEnabled()) {
         rep.recovery.recoveries = rt.recoveries();
+        rep.recovery.captureFailures = rt.ckptController()->captureFailures();
         if (const auto* st = rt.ckptStore()) {
           rep.recovery.snapshots = st->stats().snapshots;
           rep.recovery.snapshotBytes = st->stats().lastBytes;

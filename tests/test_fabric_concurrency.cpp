@@ -233,6 +233,63 @@ TEST(FabricConcurrency, ExactlyOnceUnderConcurrentDuplication) {
   EXPECT_EQ(fs.suppressedDuplicates, fs.duplicated);  // every twin killed
 }
 
+// Fault decisions are keyed by each source's own send ordinal, so they may
+// not depend on how threads interleave: two runs of the same plan, racing
+// each other on the same cores, must drop, duplicate and delay the same
+// messages and complete the same receives.
+TEST(FabricConcurrency, FaultDecisionsIndependentOfInterleaving) {
+  constexpr int kProcs = 8;
+  constexpr int kMsgs = 300;
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.dropProb = 0.25;
+  plan.dupProb = 0.25;
+  plan.delayProb = 0.25;
+  plan.maxDelay = 1e-4;
+  struct Observed {
+    int received = 0;
+    FaultStats faults{};
+    std::uint64_t messagesReceived = 0;
+    std::size_t pendingReceives = 0;
+  };
+  auto run = [&](Observed& o) {
+    Fabric f(kProcs);
+    f.setFaultPlan(plan);
+    std::atomic<int> received{0};
+    runSpmd(kProcs, [&](int pid) {
+      const int partner = pid ^ 1;
+      for (int i = 0; i < kMsgs; ++i) {
+        if (pid % 2 == 0) {
+          f.send(pid, name(pid, i), TransferKind::Data, payload(i), partner);
+        } else {
+          f.postReceive(pid, name(partner, i), TransferKind::Data,
+                        [&](const Message&) {
+                          received.fetch_add(1, std::memory_order_relaxed);
+                        });
+        }
+      }
+    });
+    o.received = received.load();
+    o.faults = f.faultStats();
+    o.messagesReceived = f.totalStats().messagesReceived;
+    o.pendingReceives = f.pendingReceiveCount();
+  };
+  Observed a, b;
+  std::thread other([&] { run(b); });
+  run(a);
+  other.join();
+  EXPECT_GT(a.faults.dropped, 0u);
+  EXPECT_GT(a.faults.duplicated, 0u);
+  EXPECT_EQ(a.received, b.received);
+  EXPECT_EQ(a.faults.dropped, b.faults.dropped);
+  EXPECT_EQ(a.faults.duplicated, b.faults.duplicated);
+  EXPECT_EQ(a.faults.suppressedDuplicates, b.faults.suppressedDuplicates);
+  EXPECT_EQ(a.faults.delayed, b.faults.delayed);
+  EXPECT_EQ(a.messagesReceived, b.messagesReceived);
+  // Receives whose message was dropped strand identically.
+  EXPECT_EQ(a.pendingReceives, b.pendingReceives);
+}
+
 // Barriers interleaved with traffic and concurrent makespan/stats reads:
 // exercises the barrierMu_ -> endpoint release path against endpoint-only
 // readers.

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "xdp/apps/programs.hpp"
 #include "xdp/ckpt/io.hpp"
@@ -321,6 +322,26 @@ TEST(Recovery, CheckpointingRunWithoutFaultsMatchesPlainRun) {
     EXPECT_EQ(r.recoveries, 0u);
     expectLogicalEq(base, r, "steady-state ckpt");
   }
+}
+
+// A coordinated capture needs every other processor parked for it or
+// blocked in an await. One waiting in a barrier never qualifies, so the
+// capture leader gives up after captureTimeoutMs and the controller counts
+// exactly one failed capture (and no successful one).
+TEST(Recovery, CaptureBlockedByBarrierCountsOneFailure) {
+  rt::Runtime rt(2);
+  ckpt::CkptOptions co;
+  co.captureTimeoutMs = 1;
+  rt.enableCheckpointing(co);
+  rt.run([&](rt::Proc& p) {
+    if (p.mypid() == 0) {
+      while (rt.fabric().barrierWaiters() != 1) std::this_thread::yield();
+      rt.ckptController()->parkAtBoundary(0, ckpt::ContImage{});
+    }
+    p.barrier();
+  });
+  EXPECT_EQ(rt.ckptController()->captureFailures(), 1u);
+  EXPECT_EQ(rt.ckptController()->captures(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // End-to-end tests of the xdpc driver's exit-code contract and diagnostic
 // formatting: 0 = success, 1 = diagnostics or a compile/run failure,
-// 2 = usage error (bad flag, unknown pass, missing file operand). Runs the
-// real binary (XDPC_PATH) against the shipped programs and against seeded
-// defect programs written to a temp directory.
+// 2 = usage error (bad flag, bad numeric value, unknown pass, missing file
+// operand). Runs the real binary (XDPC_PATH) against the shipped programs
+// and against seeded defect programs written to a temp directory. The
+// xdp_serve driver (XDP_SERVE_PATH) shares the numeric-flag contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,8 +20,8 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-RunResult runXdpc(const std::string& args) {
-  std::string cmd = std::string(XDPC_PATH) + " " + args + " 2>&1";
+RunResult runTool(const char* path, const std::string& args) {
+  std::string cmd = std::string(path) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   RunResult r;
@@ -32,6 +33,8 @@ RunResult runXdpc(const std::string& args) {
   }
   return r;
 }
+
+RunResult runXdpc(const std::string& args) { return runTool(XDPC_PATH, args); }
 
 std::string programPath(const std::string& name) {
   return std::string(XDP_PROGRAMS_DIR) + "/" + name;
@@ -139,6 +142,49 @@ TEST(XdpcDriver, UsageErrorsExitTwo) {
   EXPECT_EQ(runXdpc(programPath("vecadd.xdp") + " --passes no-such-pass")
                 .exitCode,
             2);
+}
+
+// Every numeric flag must be one whole number in range: trailing junk, a
+// sign on an unsigned value, and overflow are usage errors, not aborts or
+// silently wrapped values.
+TEST(XdpcDriver, MalformedNumericFlagsExitTwo) {
+  const std::string run = programPath("vecadd.xdp") + " --run ";
+  for (const char* bad :
+       {"--seed abc", "--seed 42x", "--seed -1", "--seed +1",
+        "--seed 18446744073709551616", "--checkpoint-interval -3",
+        "--checkpoint-interval 1e3", "--checkpoint-interval \"\""}) {
+    RunResult r = runXdpc(run + bad);
+    EXPECT_EQ(r.exitCode, 2) << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("invalid value for"), std::string::npos)
+        << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
+  EXPECT_EQ(runXdpc(run + "--seed").exitCode, 2);  // value missing
+}
+
+TEST(XdpcDriver, WellFormedNumericFlagsRun) {
+  RunResult r = runXdpc(programPath("vecadd.xdp") +
+                        " --run --seed 7 --checkpoint-interval 16");
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find(" capture failures"), std::string::npos)
+      << r.output;
+}
+
+TEST(XdpServeDriver, MalformedNumericFlagsExitTwo) {
+  const std::string prog = programPath("vecadd.xdp") + " ";
+  for (const char* bad :
+       {"--workers abc", "--workers 0", "--sessions 2x", "--sessions -1",
+        "--checkpoint-steps -1", "--seed 1.5", "--drop 1.5", "--drop nan",
+        "--max-steps 99999999999999999999", "--crash -2", "--wall-ms 3ms"}) {
+    RunResult r = runTool(XDP_SERVE_PATH, prog + bad);
+    EXPECT_EQ(r.exitCode, 2) << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("invalid value for"), std::string::npos)
+        << bad << "\n" << r.output;
+  }
+  RunResult ok =
+      runTool(XDP_SERVE_PATH, prog + "--pipeline --sessions 2 --workers 1");
+  EXPECT_EQ(ok.exitCode, 0) << ok.output;
+  EXPECT_NE(ok.output.find("2 completed"), std::string::npos) << ok.output;
 }
 
 TEST(XdpcDriver, MissingFileExitsOne) {

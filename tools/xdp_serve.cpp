@@ -24,16 +24,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "xdp/net/transport.hpp"
 #include "xdp/serve/server.hpp"
+#include "xdp/support/cli.hpp"
 
 namespace {
 
 using namespace xdp;
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -46,10 +49,6 @@ int usage(const char* argv0) {
                "  --no-analyze       skip the static --analyze gate\n"
                "  --seed N           fill-kernel seed (default 42)\n"
                "  --retries N        max attempts per session (default 3)\n"
-               "  --transport=locked|ring\n"
-               "                     session fabric transport: inline locked\n"
-               "                     delivery (default) or the lock-free\n"
-               "                     ring fast path\n"
                "  --watchdog-ms N    per-session watchdog window\n"
                "  --max-steps N      per-session logical step quota\n"
                "  --max-bytes N      per-processor resident-byte quota\n"
@@ -91,51 +90,50 @@ int main(int argc, char** argv) {
     }
     return argv[i];
   };
+  // Parse the value after flag argv[i] into `out`, within [lo, hi] when
+  // given; anything else is a usage error.
+  auto numArg = [&](int& i, auto& out, auto... bounds) {
+    const char* flag = argv[i];
+    if (!cli::parseFlagValue(flag, nextArg(i), out, bounds...)) {
+      usage(argv[0]);
+      std::exit(2);
+    }
+  };
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--sessions") sessions = std::stoi(nextArg(i));
-    else if (arg == "--workers") cfg.workers = std::stoi(nextArg(i));
-    else if (arg == "--max-pending") cfg.maxPending = std::stoi(nextArg(i));
+    if (arg == "--sessions") numArg(i, sessions, 0, kIntMax);
+    else if (arg == "--workers") numArg(i, cfg.workers, 1, kIntMax);
+    else if (arg == "--max-pending") numArg(i, cfg.maxPending, 1, kIntMax);
     else if (arg == "--pipeline") proto.usePipeline = true;
     else if (arg == "--no-analyze") proto.analyze = false;
-    else if (arg == "--seed") proto.fillSeed = std::stoull(nextArg(i));
-    else if (arg == "--retries")
-      cfg.session.retry.maxAttempts = std::stoi(nextArg(i));
-    else if (arg.rfind("--transport=", 0) == 0) {
-      auto k = net::parseTransportKind(arg.substr(12));
-      if (!k) {
-        std::fprintf(stderr, "unknown transport: %s\n", arg.c_str() + 12);
-        return usage(argv[0]);
-      }
-      cfg.session.transport.kind = *k;
-    }
-    else if (arg == "--watchdog-ms")
-      cfg.session.watchdogMs = std::stoi(nextArg(i));
-    else if (arg == "--max-steps")
-      proto.quotas.maxSteps = std::stoull(nextArg(i));
-    else if (arg == "--max-bytes")
-      proto.quotas.maxResidentBytes = std::stoull(nextArg(i));
-    else if (arg == "--max-msgs")
-      proto.quotas.maxMessages = std::stoull(nextArg(i));
-    else if (arg == "--wall-ms") proto.quotas.wallBudgetMs = std::stoi(nextArg(i));
-    else if (arg == "--drop") { plan.dropProb = std::stod(nextArg(i)); anyFault = true; }
-    else if (arg == "--delay") {
-      plan.delayProb = std::stod(nextArg(i));
+    else if (arg == "--seed") numArg(i, proto.fillSeed);
+    else if (arg == "--retries") numArg(i, cfg.session.retry.maxAttempts);
+    else if (arg == "--watchdog-ms") numArg(i, cfg.session.watchdogMs);
+    else if (arg == "--max-steps") numArg(i, proto.quotas.maxSteps);
+    else if (arg == "--max-bytes") numArg(i, proto.quotas.maxResidentBytes);
+    else if (arg == "--max-msgs") numArg(i, proto.quotas.maxMessages);
+    else if (arg == "--wall-ms") numArg(i, proto.quotas.wallBudgetMs);
+    else if (arg == "--drop") {
+      numArg(i, plan.dropProb, 0.0, 1.0);
+      anyFault = true;
+    } else if (arg == "--delay") {
+      numArg(i, plan.delayProb, 0.0, 1.0);
       plan.maxDelay = 1e-4;
       anyFault = true;
     } else if (arg == "--crash") {
-      plan.crashPids.push_back(std::stoi(nextArg(i)));
+      int pid = 0;
+      numArg(i, pid, 0, kIntMax);
+      plan.crashPids.push_back(pid);
       anyFault = true;
     } else if (arg == "--crash-recover") {
       plan.crashFate = net::CrashFate::Recover;
       anyFault = true;
     } else if (arg == "--checkpoint-steps")
-      proto.checkpointIntervalSteps = std::stoull(nextArg(i));
-    else if (arg == "--preempt-steps")
-      proto.preemptAfterSteps = std::stoull(nextArg(i));
+      numArg(i, proto.checkpointIntervalSteps);
+    else if (arg == "--preempt-steps") numArg(i, proto.preemptAfterSteps);
     else if (arg == "--spill-dir") cfg.session.spillDir = nextArg(i);
-    else if (arg == "--fault-seed") plan.seed = std::stoull(nextArg(i));
+    else if (arg == "--fault-seed") numArg(i, plan.seed);
     else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage(argv[0]);
@@ -209,6 +207,8 @@ int main(int argc, char** argv) {
     if (!r.quotaResource.empty()) tail += " quota=" + r.quotaResource;
     if (r.recovery.recoveries > 0)
       tail += " recoveries=" + std::to_string(r.recovery.recoveries);
+    if (r.recovery.captureFailures > 0)
+      tail += " capture-failures=" + std::to_string(r.recovery.captureFailures);
     if (r.recovery.resumed) tail += " resumed";
     if (!r.recovery.spillPath.empty())
       tail += " spill=" + r.recovery.spillPath;

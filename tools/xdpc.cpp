@@ -15,7 +15,8 @@
 // reports traffic and modeled-time statistics after the SPMD region.
 //
 // Exit codes: 0 = success, 1 = diagnostics reported or a compile/run
-// failure, 2 = usage error (bad flag, unknown pass, missing file).
+// failure, 2 = usage error (bad flag or numeric value, unknown pass,
+// missing file).
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -30,9 +31,9 @@
 #include "xdp/ckpt/io.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/il/printer.hpp"
-#include "xdp/net/transport.hpp"
 #include "xdp/opt/auto_place.hpp"
 #include "xdp/opt/passes.hpp"
+#include "xdp/support/cli.hpp"
 #include "xdp/support/json.hpp"
 
 namespace {
@@ -82,10 +83,6 @@ int usage(const char* argv0) {
                "  --backend=tree|vm  execution engine for --run: the\n"
                "                     tree-walking interpreter (default) or\n"
                "                     the compiled bytecode VM\n"
-               "  --transport=locked|ring\n"
-               "                     fabric message transport for --run:\n"
-               "                     inline locked delivery (default) or the\n"
-               "                     lock-free ring fast path\n"
                "  --debug-checks     enforce the Figure-1 usage rules\n"
                "  --seed N           fill-kernel seed (default 42)\n"
                "  --checkpoint-dir DIR\n"
@@ -109,7 +106,6 @@ int main(int argc, char** argv) {
   bool debugChecks = false, analyze = false, verifyPasses = false;
   bool cost = false, autoPlace = false, jsonFormat = false;
   interp::Backend backend = interp::Backend::TreeWalk;
-  net::TransportOptions transport;
   std::uint64_t seed = 42;
   std::string ckptDir;
   std::uint64_t ckptInterval = 0;
@@ -122,14 +118,6 @@ int main(int argc, char** argv) {
     else if (arg == "--run") run = true;
     else if (arg == "--backend=tree") backend = interp::Backend::TreeWalk;
     else if (arg == "--backend=vm") backend = interp::Backend::Bytecode;
-    else if (arg.rfind("--transport=", 0) == 0) {
-      auto k = net::parseTransportKind(arg.substr(12));
-      if (!k) {
-        std::fprintf(stderr, "unknown transport: %s\n", arg.c_str() + 12);
-        return usage(argv[0]);
-      }
-      transport.kind = *k;
-    }
     else if (arg == "--trace") trace = true;
     else if (arg == "--debug-checks") debugChecks = true;
     else if (arg == "--analyze") analyze = true;
@@ -146,14 +134,14 @@ int main(int argc, char** argv) {
       std::string name;
       while (std::getline(ss, name, ',')) passNames.push_back(name);
     } else if (arg == "--seed") {
-      if (++i >= argc) return usage(argv[0]);
-      seed = std::stoull(argv[i]);
+      if (++i >= argc || !cli::parseFlagValue(arg, argv[i], seed))
+        return usage(argv[0]);
     } else if (arg == "--checkpoint-dir") {
       if (++i >= argc) return usage(argv[0]);
       ckptDir = argv[i];
     } else if (arg == "--checkpoint-interval") {
-      if (++i >= argc) return usage(argv[0]);
-      ckptInterval = std::stoull(argv[i]);
+      if (++i >= argc || !cli::parseFlagValue(arg, argv[i], ckptInterval))
+        return usage(argv[0]);
     } else if (arg == "--list-passes") {
       for (const auto& [name, fn] : reg) std::printf("%s\n", name.c_str());
       return 0;
@@ -289,7 +277,6 @@ int main(int argc, char** argv) {
     if (run) {
       rt::RuntimeOptions opts;
       opts.debugChecks = debugChecks;
-      opts.transport = transport;
       interp::InterpOptions iopts;
       iopts.backend = backend;
       interp::Interpreter interp(prog, opts, iopts);
@@ -306,11 +293,13 @@ int main(int argc, char** argv) {
         const ckpt::StoreStats& cs = interp.runtime().ckptStore()->stats();
         std::printf(
             "xdpc: checkpoints: %llu snapshots (%llu records, %llu bytes "
-            "newest), %llu recoveries\n",
+            "newest), %llu recoveries, %llu capture failures\n",
             static_cast<unsigned long long>(cs.snapshots),
             static_cast<unsigned long long>(cs.lastRecords),
             static_cast<unsigned long long>(cs.lastBytes),
-            static_cast<unsigned long long>(interp.runtime().recoveries()));
+            static_cast<unsigned long long>(interp.runtime().recoveries()),
+            static_cast<unsigned long long>(
+                interp.runtime().ckptController()->captureFailures()));
       }
       auto net = interp.runtime().fabric().totalStats();
       auto st = interp.totalStats();
