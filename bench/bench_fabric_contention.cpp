@@ -1,11 +1,12 @@
 // Fabric lock contention under real multi-threaded traffic.
 //
-// The pre-shard fabric serialized every operation — sends, receives,
-// clock ticks, stats — on one mutex, so P threads measured lock handoff
-// latency, not the XDP cost model. With per-endpoint mailbox locks plus a
-// separate rendezvous-matcher lock, disjoint direct traffic should scale
-// with the thread count; the Mixed variant prices the one shared matcher
-// critical section against that baseline.
+// The fabric serializes every operation — sends, receives, clock ticks,
+// stats — on one mutex, so at high P this measures lock handoff latency,
+// not the XDP cost model. It is a raw-fabric stress figure: a served
+// session drives its fabric from at most a handful of node threads, and
+// the end-to-end benchmark (perfbench/) is what judges the lock design
+// (DESIGN.md §5). The Mixed variant adds rendezvous pairing, whose FCFS
+// matcher scan is the part that grows with P.
 //
 // Each benchmark runs P OS threads (Arg: P = 4/16/64/256). Every thread
 // posts a receive for its own name and sends to its partner's (pid ^ 1),
@@ -69,15 +70,14 @@ void runTrafficLoop(benchmark::State& state, int rendezvousEvery) {
       static_cast<double>(state.iterations()));
 }
 
-// Disjoint pairwise direct traffic: touches only the two endpoint locks
-// involved, so throughput should rise with P
-// until cores run out.
+// Disjoint pairwise direct traffic: each send completes at its partner's
+// mailbox in one critical section.
 void BM_FabricContention_Direct(benchmark::State& state) {
   runTrafficLoop(state, 0);
 }
 
 // Mixed 3:1 direct:rendezvous — every fourth send goes through the
-// matchmaker, putting the shared matcher critical section on the hot path.
+// matchmaker, putting the FCFS matcher scan on the hot path.
 void BM_FabricContention_Mixed(benchmark::State& state) {
   runTrafficLoop(state, 4);
 }

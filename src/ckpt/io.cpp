@@ -139,6 +139,11 @@ Snapshot decodeSnapshot(const std::vector<std::byte>& buf) {
         if (snap.nprocs < 0 || wantTables != snap.nprocs ||
             wantConts != snap.nprocs)
           throw CkptError("meta record is internally inconsistent");
+        // Every processor needs a table and a continuation record of at
+        // least 18 bytes each: reject a count the image cannot hold
+        // before sizing for it.
+        if (wantTables > static_cast<std::int64_t>(r.remaining() / 36))
+          throw CkptError("meta record processor count exceeds image size");
         snap.tables.resize(static_cast<std::size_t>(wantTables));
         snap.conts.resize(static_cast<std::size_t>(wantConts));
         break;

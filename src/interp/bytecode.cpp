@@ -142,7 +142,7 @@ class FlatEval {
         Index lb = asInt(evalValue(s.lb));
         Index ub = asInt(evalValue(s.ub));
         Index step = s.step.valid() ? asInt(evalValue(s.step)) : 1;
-        XDP_CHECK(step > 0, "loop step must be positive");
+        if (step <= 0) XDP_USAGE_FAIL("loop step must be positive");
         if (lb > ub) return;
         for (Index i = lb;;) {
           stats_.loopIterations += 1;
@@ -953,11 +953,17 @@ class Compiler {
   std::unordered_set<std::uint16_t> intConstRegs_;
 };
 
-[[noreturn]] void undefinedReg(const Module& m, std::uint16_t r) {
+[[noreturn]] void undefinedReg(const Module& m, std::uint16_t r,
+                               bool resumed) {
   if (r < m.fp.scalarNames.size()) {
     XDP_USAGE_FAIL("use of undefined universal scalar: " +
                    m.fp.scalarNames[r]);
   }
+  // Temporaries are written before they are read by construction; only a
+  // register file restored from an image can break that.
+  if (resumed)
+    throw ckpt::CkptError(
+        "VM continuation leaves a live temporary register undefined");
   XDP_CHECK(false, "VM read of undefined temporary register");
   std::abort();  // unreachable
 }
@@ -979,10 +985,11 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
 
   // Operand read with the undefined-scalar check (temps are always
   // written before read by construction; only scalar registers can be
-  // Undef here).
+  // Undef here, unless the register file came from an image).
+  bool resumed = false;
   auto val = [&](std::uint16_t r) -> const Slot& {
     const Slot& s = regs[r];
-    if (s.tag == Tag::Undef) undefinedReg(m, r);
+    if (s.tag == Tag::Undef) undefinedReg(m, r, resumed);
     return s;
   };
 
@@ -1128,6 +1135,7 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
         }
       }
       pc = rpc;
+      resumed = true;
     } else if (img.engine !=
                static_cast<std::uint8_t>(ckpt::ContEngine::None)) {
       throw ckpt::CkptError(
@@ -1254,7 +1262,7 @@ void execute(const Module& m, rt::Proc& proc, InterpStats& stats,
         regs[in.a] = Slot::ofInt(asInt(val(in.b)));
         break;
       case Op::CheckStep:
-        XDP_CHECK(regs[in.a].i > 0, "loop step must be positive");
+        if (regs[in.a].i <= 0) XDP_USAGE_FAIL("loop step must be positive");
         break;
       case Op::Jmp:
         pc = static_cast<std::size_t>(in.d);

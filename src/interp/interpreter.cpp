@@ -128,7 +128,7 @@ class Exec {
         Index lb = asInt(evalValue(s->lb));
         Index ub = asInt(evalValue(s->ub));
         Index step = s->step ? asInt(evalValue(s->step)) : 1;
-        XDP_CHECK(step > 0, "loop step must be positive");
+        if (step <= 0) XDP_USAGE_FAIL("loop step must be positive");
         if (lb > ub) return;
         const int var = in_.scalarIdOfStmt(s.get());
         // Range splitting is off under checkpointing: the split schedule
@@ -262,6 +262,10 @@ class Exec {
       }
     }
     const std::uint32_t depth = r.u32();
+    // A frame is a kind byte and three i64s: reject a depth the image
+    // cannot hold before reserving for it.
+    if (depth > r.remaining() / 25)
+      throw ckpt::CkptError("tree continuation depth exceeds image size");
     resume_.clear();
     resume_.reserve(depth);
     for (std::uint32_t k = 0; k < depth; ++k) {
@@ -734,8 +738,8 @@ class Exec {
       case ExprKind::ScalarRef: {
         const auto id =
             static_cast<std::size_t>(in_.scalarIdOfExpr(e.get()));
-        XDP_CHECK(def_[id] != 0,
-                  "use of undefined universal scalar: " + e->name);
+        if (def_[id] == 0)
+          XDP_USAGE_FAIL("use of undefined universal scalar: " + e->name);
         return env_[id];
       }
       case ExprKind::MyPid:

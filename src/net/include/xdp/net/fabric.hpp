@@ -20,42 +20,29 @@
 //                 matching send is handed to the first waiter in line.
 //
 // Delivery is synchronous and has one path: the sending thread delivers
-// inline under the destination endpoint's lock, so send() returns only
-// after its message completed a receive or was parked (as unexpected, or
-// at the matcher). Apart from messages a reorder fault holds back, nothing
-// is ever in flight between endpoints, which is what lets the runtime
-// read "every processor blocked" as a deadlock (DESIGN.md §12).
+// inline, so send() returns only after its message completed a receive or
+// was parked (as unexpected, or at the matcher). Apart from messages a
+// reorder fault holds back, nothing is ever in flight between endpoints,
+// which is what lets the runtime read "every processor blocked" as a
+// deadlock (DESIGN.md §12).
 //
-// Locking: the matching state is sharded so that P endpoints do not
-// serialize on one fabric-wide mutex.
+// Locking: one mutex guards all fabric state — clocks, stats, pending
+// receives, unexpected queues, the rendezvous matcher, the duplicate set,
+// the barrier and the whole fault injector — and one condition variable
+// over it parks barrier waiters. A send is one critical section: account,
+// decide faults, route, complete. A fabric serves one session's few node
+// threads; DESIGN.md §5 has the measurements behind the single lock.
 //
-//   * Each endpoint owns a mutex guarding its virtual clock, its traffic
-//     counters, its posted-but-unmatched receives and its
-//     unexpected-message queue. A direct send touches exactly two
-//     endpoint locks, one at a time: the sender's (accounting) and then
-//     the receiver's (delivery).
-//   * The rendezvous matcher (parked unspecified sends + registered
-//     receive interest) has its own mutex. An endpoint lock and the
-//     matcher lock are NEVER held together; cross-domain matching is a
-//     publish-then-complete protocol (see fabric.cpp, "Rendezvous
-//     protocol") that retries stale interest entries instead of taking
-//     both locks.
-//   * Leaf locks, each taken with at most one endpoint lock held and
-//     never while holding each other: the duplicate-suppression set
-//     (exactly-once bookkeeping for fault-injected duplicates). The fault
-//     injector's mutex and the barrier mutex are taken with no endpoint
-//     or matcher lock held; the barrier *release* path and snapshot()
-//     additionally take endpoint locks (barrier/snapshot -> endpoint,
-//     ascending pid order when more than one is held).
-//   * Completion callbacks run while the destination endpoint's lock is
-//     held and may take the destination symbol table's lock (lock order:
-//     endpoint -> symtab — the pre-shard fabric-state -> symtab order).
+//   * Hooks run outside the lock: the send hook before the send takes it,
+//     the crash hook after it is released (it reaches into the checkpoint
+//     controller). The barrier interrupt hook runs under it; it only reads
+//     the controller's atomic signal.
+//   * Completion callbacks run under the lock and may take the
+//     destination symbol table's lock (lock order: fabric -> symtab).
 //     Callers must never invoke fabric operations while holding a symbol
-//     table lock, and completion callbacks must never re-enter the
-//     fabric.
+//     table lock, and completion callbacks must never re-enter the fabric.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -63,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -75,10 +61,9 @@
 namespace xdp::net {
 
 /// Traffic counters, kept per endpoint. `read()`-style accessors
-/// (`Fabric::stats`, `Fabric::totalStats`) copy a whole endpoint's
-/// counters under that endpoint's lock, so they are safe — and internally
-/// consistent per endpoint — at any time, including mid-run from a
-/// monitoring thread.
+/// (`Fabric::stats`, `Fabric::totalStats`) copy them under the fabric
+/// lock, so they are safe — and one consistent cut — at any time,
+/// including mid-run from a monitoring thread.
 struct NetStats {
   std::uint64_t messagesSent = 0;
   std::uint64_t bytesSent = 0;
@@ -92,7 +77,7 @@ struct NetStats {
   NetStats& operator+=(const NetStats& o);
 };
 
-/// Invoked (under the destination endpoint's lock) when a posted receive
+/// Invoked (under the fabric lock) when a posted receive
 /// is matched. The callback must copy the payload out and update runtime
 /// state; it must not call back into the fabric.
 using CompletionFn = std::function<void(const Message&)>;
@@ -179,15 +164,14 @@ class Fabric {
 
   /// --- virtual time ---------------------------------------------------
   /// All clock operations validate `pid` and throw UsageError on an
-  /// out-of-range value; they take only that endpoint's lock.
+  /// out-of-range value.
   double clock(int pid) const;
   void advance(int pid, double dt);
   /// clock(pid) = max(clock(pid), t) — used when a processor synchronizes
   /// on a message that arrived at virtual time t.
   void syncClock(int pid, double t);
-  /// Max clock over all endpoints (the modeled makespan). Endpoint locks
-  /// are taken one at a time; call after the region joined for an exact
-  /// figure.
+  /// Max clock over all endpoints (the modeled makespan). Call after the
+  /// region joined for a final figure.
   double makespan() const;
   void resetClocks();
 
@@ -228,9 +212,9 @@ class Fabric {
   void pollAll() {}
 
   /// --- accounting -----------------------------------------------------
-  /// Safe to call at any time, including concurrently with traffic: each
-  /// endpoint's counters are copied under its own lock, so a mid-run read
-  /// never observes a torn per-endpoint snapshot.
+  /// Safe to call at any time, including concurrently with traffic: the
+  /// counters are copied under the fabric lock, so a mid-run read never
+  /// observes a torn snapshot.
   NetStats stats(int pid) const;
   NetStats totalStats() const;
   void resetStats();
@@ -280,10 +264,8 @@ class Fabric {
 
   /// --- hang diagnostics ------------------------------------------------
 
-  /// Takes every endpoint lock simultaneously, in ascending pid order,
-  /// so the per-endpoint picture (pending receives + unexpected queues)
-  /// is one consistent cut; matcher, injector and barrier state are read
-  /// immediately after under their own locks.
+  /// One consistent cut of every endpoint, the matcher, the injector and
+  /// the barrier, taken under the fabric lock.
   FabricSnapshot snapshot() const;
 
   /// --- checkpoint image ------------------------------------------------
@@ -291,9 +273,9 @@ class Fabric {
   /// Serialize the in-flight state: per-endpoint clocks, stats,
   /// unexpected queues and pending receives (with their RecvDescs),
   /// matcher-parked messages and FCFS interest order, duplicate
-  /// bookkeeping, and the fault injector's dynamic state. Endpoint locks
-  /// are taken in ascending order for one consistent cut — callers invoke
-  /// this only at a capture point (no traffic in flight). Receives posted
+  /// bookkeeping, and the fault injector's dynamic state, as one cut under
+  /// the fabric lock — callers invoke this only at a capture point (no
+  /// traffic in flight). Receives posted
   /// without a RecvDesc make the export fail with CkptError (the image
   /// could not be restored faithfully).
   std::vector<std::byte> exportImage() const;
@@ -301,7 +283,8 @@ class Fabric {
   /// Inverse of exportImage: drop all current match state, then rebuild
   /// from `image`, re-creating each pending receive's completion callback
   /// via `factory` (fresh ReceiveIds are assigned; FCFS matcher order is
-  /// preserved). Throws CkptError on a malformed or mismatched image.
+  /// preserved). Throws CkptError on a malformed or mismatched image,
+  /// leaving the fabric unchanged.
   void restoreImage(const std::vector<std::byte>& image,
                     const CompletionFactory& factory);
 
@@ -342,13 +325,8 @@ class Fabric {
     double postClock = 0.0;  ///< receiver's virtual clock at post time
     std::optional<RecvDesc> desc;  ///< rebuild recipe (checkpoint images)
   };
-  /// One simulated processor's mailbox. Everything in it — including the
-  /// virtual clock and the stats — is guarded by `mu`, which is the lock
-  /// completion callbacks run under. Cache-line-aligned so two endpoints'
-  /// hot state (lock word, clock, counters) never false-share a line
-  /// when P threads hammer adjacent mailboxes.
-  struct alignas(64) Endpoint {
-    mutable std::mutex mu;
+  /// One simulated processor's mailbox.
+  struct Endpoint {
     std::deque<Message> unexpected;      // arrived before a receive posted
     std::deque<PendingReceive> pending;  // posted, not yet matched
     NetStats stats;
@@ -361,6 +339,8 @@ class Fabric {
     TransferKind kind;
   };
 
+  // Every member function below named *Locked requires mu_ held.
+
   Endpoint& ep(int pid) { return eps_[static_cast<std::size_t>(pid)]; }
   const Endpoint& ep(int pid) const {
     return eps_[static_cast<std::size_t>(pid)];
@@ -369,48 +349,41 @@ class Fabric {
   void checkPid(int pid, const char* what) const;
 
   /// Route a message: deliver directly or via the rendezvous matcher.
-  /// No locks held on entry.
-  void route(Message msg, std::optional<int> dest);
+  void routeLocked(Message msg, std::optional<int> dest);
 
-  /// Deliver msg at dst under its endpoint lock: complete the first
-  /// matching pending receive, or park msg as unexpected.
-  void deliverDirect(int dst, Message msg);
+  /// Complete the first matching pending receive at dst, or park msg as
+  /// unexpected.
+  void deliverDirectLocked(int dst, Message msg);
 
-  /// Retire a completed receive's matcher interest, if it registered any
-  /// (O(1): erase from the live-id set; the FCFS deque entry goes stale
-  /// and is skipped/compacted lazily).
-  void cancelMatcherInterest(ReceiveId id);
+  /// Hand msg to the first live registered receive interest with a
+  /// matching name, or park it at the matcher.
+  void routeRendezvousLocked(Message msg);
 
-  /// Rendezvous half of route(): hand the message to the first registered
-  /// receive interest with a matching name, retrying entries whose
-  /// receive was concurrently completed by a direct send, or park it at
-  /// the matcher. Never holds an endpoint lock and the matcher lock
-  /// together.
-  void routeRendezvous(Message msg);
-
-  /// Complete `pr` with `msg` under ep.mu (held by the caller), applying
-  /// the unexpected-message penalty when the message's (virtual) arrival
+  /// Complete `pr` at endpoint `e` with `msg`, applying the
+  /// unexpected-message penalty when the message's (virtual) arrival
   /// precedes the receive's (virtual) post time — a deterministic
-  /// criterion independent of real thread scheduling. Returns false —
-  /// completing nothing and consuming neither `pr` nor `msg` — iff `msg`
-  /// is a duplicate whose twin already completed (exactly-once).
-  bool tryCompleteLocked(Endpoint& e, const PendingReceive& pr, Message msg);
+  /// criterion independent of real thread scheduling. A completed
+  /// duplicate retires its pair: the twin is purged from every parking
+  /// queue. The caller removes `pr` from its queue.
+  void completeLocked(Endpoint& e, const PendingReceive& pr, Message msg);
 
   /// True iff this message is a fault-injected duplicate whose twin has
-  /// already completed a receive; counts the suppression. Any-lock-safe
-  /// (takes only dupMu_).
-  bool dupSuppressed(const Message& msg);
+  /// already completed a receive; counts the suppression.
+  bool dupSuppressedLocked(const Message& msg);
 
-  /// Remove the not-yet-completed twin of a completed duplicate from
-  /// every parking queue. No locks held on entry; takes the matcher lock
-  /// and endpoint locks one at a time.
-  void purgeDuplicate(std::uint64_t dupId);
+  /// Retire a completed receive's matcher interest, if it registered any
+  /// (O(1): erase from the live-id set; the FCFS deque entry goes dead
+  /// and is skipped/compacted lazily).
+  void cancelMatcherInterestLocked(ReceiveId id);
 
-  /// The fault-injected send path: crash, drop, duplicate, delay, hold.
-  /// Decides fates under the injector's per-source lock (holding faultMu_
-  /// shared for injector-pointer stability), then routes with no lock
-  /// held.
-  void faultSend(int src, Message msg, std::optional<int> dest);
+  /// Reclaim dead FCFS entries.
+  void compactMatcherLocked();
+
+  /// The fault-injected half of send(): crash, drop, duplicate, delay,
+  /// hold, routing every surviving message. Returns true iff the sender
+  /// crashed with CrashFate::Recover (the caller runs the crash hook once
+  /// the lock is released).
+  bool faultSendLocked(int src, Message msg, std::optional<int> dest);
 
   ReceiveId postReceiveImpl(int pid, const Name& name, TransferKind kind,
                             CompletionFn fn, std::optional<RecvDesc> desc);
@@ -431,55 +404,38 @@ class Fabric {
   /// Barrier interrupt hook; same publication discipline as sendHook_.
   std::function<void()> barrierInterrupt_;
 
-  /// Endpoint shards. Sized once in the constructor; never resized, so
-  /// the embedded mutexes stay put.
+  /// The fabric lock: guards every member below.
+  mutable std::mutex mu_;
+  std::condition_variable barrierCv_;
+
   std::vector<Endpoint> eps_;
 
-  /// Rendezvous matcher: guards matcherMsgs_, matcherRecvs_ and the
-  /// live-interest index. Retiring a completed receive's interest is
-  /// O(1): erase its id from matcherLive_; its deque entry becomes dead
-  /// weight that pairing scans skip and compactMatcherLocked() reclaims
-  /// once dead entries outnumber live ones (amortized O(1) per cancel).
+  /// Rendezvous matcher. Retiring a completed receive's interest is O(1):
+  /// erase its id from matcherLive_; its deque entry becomes dead weight
+  /// that pairing scans skip and compactMatcherLocked() reclaims once
+  /// dead entries outnumber live ones (amortized O(1) per cancel).
   /// Scanning the FCFS deque on every direct completion instead is
   /// quadratic under oversubscription: the seed bench collapsed from 482k
   /// (P=16) to 147k msgs/s (P=64) that way.
-  mutable std::mutex matcherMu_;
   std::deque<Message> matcherMsgs_;        // unspecified sends, unmatched
   std::deque<MatcherEntry> matcherRecvs_;  // receive interest, FCFS
   std::unordered_set<ReceiveId> matcherLive_;  // ids with a live entry
   std::size_t matcherDead_ = 0;  // dead entries still in matcherRecvs_
 
-  /// Reclaim dead FCFS entries. Caller holds matcherMu_.
-  void compactMatcherLocked();
+  ReceiveId nextId_ = 1;
 
-  std::atomic<ReceiveId> nextId_{1};
-
-  /// Exactly-once bookkeeping for fault-injected duplicates. dupMu_ is a
-  /// leaf lock (may be taken under an endpoint lock; takes nothing).
-  mutable std::mutex dupMu_;
+  /// Exactly-once bookkeeping for fault-injected duplicates.
   std::unordered_set<std::uint64_t> completedDups_;
-  std::atomic<std::uint64_t> dupSuppressedCount_{0};
+  std::uint64_t dupSuppressedCount_ = 0;
 
-  /// Fault injector. faultMu_ guards the injector *pointer*: sends take
-  /// it shared (pointer stability only — per-message decision state lives
-  /// behind the injector's per-source locks, so concurrent senders no
-  /// longer serialize here), plan install/teardown and state export take
-  /// it exclusive. Never held while an endpoint or matcher lock is taken
-  /// (fault fates are decided first, messages routed after).
-  /// faultsActive_ mirrors `injector_ != nullptr` so the no-plan send
-  /// path stays a single atomic load.
-  mutable std::shared_mutex faultMu_;
-  std::unique_ptr<FaultInjector> injector_;       // null = no faults
-  std::atomic<bool> faultsActive_{false};
+  std::unique_ptr<FaultInjector> injector_;  // null = no faults
 
   // Reusable barrier.
-  mutable std::mutex barrierMu_;
-  std::condition_variable barrierCv_;
   int barrierCount_ = 0;
   std::uint64_t barrierGen_ = 0;
   double barrierMax_ = 0.0;
 
-  // Watchdog teardown (guarded by barrierMu_; sticky until clearAbort).
+  // Watchdog teardown (sticky until clearAbort).
   bool aborted_ = false;
   std::string abortSummary_;
   std::shared_ptr<const std::string> abortReport_;

@@ -19,6 +19,9 @@ sec::Section getSection(ckpt::Reader& r);
 void putName(ckpt::Writer& w, const Name& n);
 Name getName(ckpt::Reader& r);
 
+/// A TransferKind byte; throws CkptError on a value outside the enum.
+TransferKind getKind(ckpt::Reader& r);
+
 void putMessage(ckpt::Writer& w, const Message& m);
 Message getMessage(ckpt::Reader& r);
 

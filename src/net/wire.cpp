@@ -18,11 +18,17 @@ sec::Section getSection(ckpt::Reader& r) {
     throw ckpt::CkptError("section rank out of range in image");
   std::vector<sec::Triplet> dims;
   dims.reserve(static_cast<std::size_t>(rank));
+  sec::Index count = 1;  // the extent and element count must fit an Index
   for (int d = 0; d < rank; ++d) {
     const sec::Index lb = r.i64();
     const sec::Index ub = r.i64();
     const sec::Index stride = r.i64();
     if (stride < 1) throw ckpt::CkptError("section stride out of range in image");
+    sec::Index extent = 0;
+    if (lb <= ub && (__builtin_sub_overflow(ub, lb, &extent) ||
+                     __builtin_mul_overflow(count, extent / stride + 1,
+                                            &count)))
+      throw ckpt::CkptError("section size out of range in image");
     dims.emplace_back(lb, ub, stride);
   }
   return sec::Section(dims);
@@ -40,9 +46,20 @@ Name getName(ckpt::Reader& r) {
   n.symbol = static_cast<int>(r.i64());
   n.section = getSection(r);
   const std::uint32_t rest = r.u32();
+  // Each section takes at least its rank byte: reject a count the image
+  // cannot hold before reserving for it.
+  if (rest > r.remaining())
+    throw ckpt::CkptError("name section count exceeds image size");
   n.rest.reserve(rest);
   for (std::uint32_t k = 0; k < rest; ++k) n.rest.push_back(getSection(r));
   return n;
+}
+
+TransferKind getKind(ckpt::Reader& r) {
+  const std::uint8_t k = r.u8();
+  if (k > static_cast<std::uint8_t>(TransferKind::OwnershipAndValue))
+    throw ckpt::CkptError("transfer kind out of range in image");
+  return static_cast<TransferKind>(k);
 }
 
 void putMessage(ckpt::Writer& w, const Message& m) {
@@ -57,7 +74,7 @@ void putMessage(ckpt::Writer& w, const Message& m) {
 Message getMessage(ckpt::Reader& r) {
   Message m;
   m.name = getName(r);
-  m.kind = static_cast<TransferKind>(r.u8());
+  m.kind = getKind(r);
   m.src = static_cast<int>(r.i64());
   m.payload = r.bytes();
   m.arrival = r.f64();

@@ -813,11 +813,18 @@ void ProcTable::restoreImage(const std::vector<std::byte>& image) {
   imgs.reserve(entries_.size());
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const std::size_t sz = elemSize(decls_[i].type);
+    // The image is untrusted: every section must lie inside its array.
+    auto getInside = [&] {
+      Section s = net::wire::getSection(r);
+      if (s.rank() != decls_[i].rank() || !decls_[i].global.containsAll(s))
+        throw ckpt::CkptError("table image section outside its array");
+      return s;
+    };
     EntryImg img;
     const std::uint32_t nsegs = r.u32();
     for (std::uint32_t k = 0; k < nsegs; ++k) {
       SegImg seg;
-      seg.bounds = net::wire::getSection(r);
+      seg.bounds = getInside();
       seg.arrival = r.f64();
       seg.payload = r.bytes();
       if (seg.payload.size() !=
@@ -827,7 +834,7 @@ void ProcTable::restoreImage(const std::vector<std::byte>& image) {
     }
     const std::uint32_t npend = r.u32();
     for (std::uint32_t k = 0; k < npend; ++k)
-      img.pendingRecvs.push_back(net::wire::getSection(r));
+      img.pendingRecvs.push_back(getInside());
     (void)r.u64();  // epoch at capture — diagnostic only, see below
     imgs.push_back(std::move(img));
   }

@@ -88,12 +88,12 @@ namespace {
 /// thread moved in between and the non-atomic multi-lock snapshot is
 /// consistent).
 ///
-/// This stays sound with the sharded fabric because delivery is
-/// synchronous on the sending thread: send() returns only after the
-/// message completed a receive or was parked, so when every thread is
-/// blocked or finished no message is in flight between endpoint shards
-/// that could still wake a blocked await. The one exception, messages a
-/// reorder fault holds back, is flushed before an observation counts.
+/// This is sound because delivery is synchronous on the sending thread:
+/// send() returns only after the message completed a receive or was
+/// parked, so when every thread is blocked or finished no message is in
+/// flight between endpoints that could still wake a blocked await. The
+/// one exception, messages a reorder fault holds back, is flushed before
+/// an observation counts.
 struct QuiescenceSnapshot {
   std::vector<ProcTable::WaitState> waits;  // by pid
   std::vector<char> finished;               // by pid
@@ -383,10 +383,23 @@ std::vector<ckpt::ContImage> Runtime::applySnapshot(
              net::TransferKind kind) -> net::CompletionFn {
     ProcTable* tp = tables_[static_cast<std::size_t>(pid)].get();
     const int sym = d.dstSym >= 0 ? d.dstSym : name.symbol;
-    const std::size_t sz = elemSize(tp->decl(sym).type);
+    // The image is untrusted: the receive must land inside a declared
+    // array, and its payload must cover every destination section.
+    if (sym < 0 || static_cast<std::size_t>(sym) >= decls_.size())
+      throw ckpt::CkptError("restored receive names no declared symbol");
+    const SymbolDecl& decl = decls_[static_cast<std::size_t>(sym)];
+    const std::size_t sz = elemSize(decl.type);
+    std::size_t need = 0;
+    for (const Section& s : d.dsts) {
+      if (s.rank() != decl.rank() || !decl.global.containsAll(s))
+        throw ckpt::CkptError("restored receive section outside its array");
+      need += static_cast<std::size_t>(s.count()) * sz;
+    }
     const bool value = kind == net::TransferKind::Data || d.withValue;
     auto dsts = d.dsts;
-    return [tp, sym, dsts, sz, value](const net::Message& msg) {
+    return [tp, sym, dsts, sz, value, need](const net::Message& msg) {
+      if (value && msg.payload.size() < need)
+        throw ckpt::CkptError("restored receive matched a short payload");
       std::size_t off = 0;
       for (const Section& s : dsts) {
         tp->completeReceive(sym, s,

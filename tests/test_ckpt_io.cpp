@@ -4,10 +4,15 @@
 // to the previous good snapshot when the newest one is damaged.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 
 #include "xdp/ckpt/io.hpp"
+#include "xdp/il/parser.hpp"
+#include "xdp/interp/interpreter.hpp"
+#include "xdp/net/fabric.hpp"
+#include "xdp/net/wire.hpp"
 
 namespace xdp::ckpt {
 namespace {
@@ -178,6 +183,138 @@ TEST(CkptStore, AllSnapshotsCorruptRaisesCkptError) {
   reopened.adoptFromDir();
   EXPECT_THROW(reopened.loadLatestGood(), CkptError);
   fs::remove_all(dir);
+}
+
+// --- Structural decoders: no count or enum is trusted before it is
+// checked against the bytes that remain (DESIGN.md §11). ---
+
+net::Name sampleName() {
+  return net::Name{1, sec::Section{sec::Triplet(0, 3)}, {}};
+}
+
+TEST(CkptDecoders, NameSectionCountBeyondImageIsRejected) {
+  // A 37-byte name whose trailing u32 claims 0xFFFFFFFF more sections:
+  // rejected before anything is reserved for them.
+  Writer w;
+  net::wire::putName(w, sampleName());
+  std::vector<std::byte> buf = w.take();
+  ASSERT_EQ(buf.size(), 37u);
+  for (std::size_t i = buf.size() - 4; i < buf.size(); ++i)
+    buf[i] = std::byte{0xff};
+  Reader r(buf);
+  EXPECT_THROW(net::wire::getName(r), CkptError);
+}
+
+TEST(CkptDecoders, SectionSizeOverflowIsRejected) {
+  // [0:2^62] x [0:3] has 2^64 + 4 elements: its count cannot be formed.
+  Writer w;
+  w.u8(2);
+  for (std::int64_t ub : {std::int64_t{1} << 62, std::int64_t{3}}) {
+    w.i64(0);
+    w.i64(ub);
+    w.i64(1);
+  }
+  Reader r(w.buffer());
+  EXPECT_THROW(net::wire::getSection(r), CkptError);
+}
+
+TEST(CkptDecoders, MessageKindOutOfRangeIsRejected) {
+  net::Message m;
+  m.name = sampleName();
+  m.src = 0;
+  m.payload = {std::byte{1}, std::byte{2}};
+  Writer w;
+  net::wire::putMessage(w, m);
+  std::vector<std::byte> buf = w.take();
+  Writer name;
+  net::wire::putName(name, m.name);
+  const std::size_t kindAt = name.buffer().size();  // the kind follows
+  ASSERT_EQ(buf[kindAt], std::byte{0});
+  buf[kindAt] = std::byte{3};  // one past OwnershipAndValue
+  Reader r(buf);
+  EXPECT_THROW(net::wire::getMessage(r), CkptError);
+}
+
+TEST(CkptDecoders, PendingReceiveKindOutOfRangeLeavesFabricUnchanged) {
+  net::Fabric f(1);
+  const net::Name n = sampleName();
+  f.postReceive(0, n, net::TransferKind::Data, [](const net::Message&) {},
+                net::RecvDesc{1, {n.section}, false});
+  std::vector<std::byte> img = f.exportImage();
+  // Endpoint count, clock, 8 stats, empty unexpected queue, one pending
+  // receive, its name — then its kind byte.
+  Writer name;
+  net::wire::putName(name, n);
+  const std::size_t kindAt = 4 + 8 + 8 * 8 + 4 + 4 + name.buffer().size();
+  ASSERT_EQ(img[kindAt], std::byte{0});
+  img[kindAt] = std::byte{7};
+  net::CompletionFactory factory = [](int, const net::RecvDesc&,
+                                      const net::Name&, net::TransferKind) {
+    return net::CompletionFn([](const net::Message&) {});
+  };
+  EXPECT_THROW(f.restoreImage(img, factory), CkptError);
+  EXPECT_EQ(f.pendingReceiveCount(), 1u);
+}
+
+TEST(CkptDecoders, MetaProcessorCountBeyondImageIsRejected) {
+  // A well-framed snapshot whose meta record claims 2^31-1 processors and
+  // carries none of their records: rejected before sizing for them.
+  Writer meta;
+  meta.u8(0);
+  meta.i64(0x7fffffff);
+  meta.u64(0);
+  meta.u64(0);
+  meta.i64(0x7fffffff);
+  meta.i64(0x7fffffff);
+  Writer w;
+  for (char c : std::string("XDPCKPT1")) w.u8(static_cast<std::uint8_t>(c));
+  w.u32(kSnapshotVersion);
+  w.u16(1);  // meta record tag
+  w.u64(meta.buffer().size());
+  w.raw(meta.buffer());
+  w.u64(fnv1a(meta.buffer()));
+  w.u64(fnv1a(w.buffer()));
+  EXPECT_THROW(decodeSnapshot(w.buffer()), CkptError);
+}
+
+TEST(CkptDecoders, TreeContinuationDepthBeyondImageIsRejected) {
+  const il::Program prog = il::parseProgram(
+      "procs 1\narray A f64 [1:8] (BLOCK)\n"
+      "do i = 1, 8\n  A[i] = 1.0\nenddo\n");
+  // A genuine tree-walker continuation from inside the loop.
+  Snapshot snap;
+  {
+    rt::Runtime* rtp = nullptr;
+    std::atomic<int> steps{0};
+    interp::InterpOptions io;
+    io.stepHook = [&](rt::Proc&) {
+      if (++steps == 3) rtp->requestPreempt();
+    };
+    interp::Interpreter in(prog, {}, io);
+    rtp = &in.runtime();
+    in.runtime().enableCheckpointing({});
+    in.run();
+    ASSERT_TRUE(in.runtime().preempted());
+    snap = in.runtime().takePreemptSnapshot();
+  }
+  // Skip the scalar environment, then claim 0xFFFFFFFF frames.
+  std::vector<std::byte>& payload = snap.conts[0].payload;
+  Reader r(payload);
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t k = 0; k < n; ++k) {
+    (void)r.u8();
+    (void)(r.u8() == 2 ? r.u8() : r.u64());
+  }
+  payload.resize(r.pos());
+  Writer depth;
+  depth.u32(0xffffffffu);
+  payload.insert(payload.end(), depth.buffer().begin(),
+                 depth.buffer().end());
+
+  interp::Interpreter in(prog, {}, {});
+  in.runtime().enableCheckpointing({});
+  in.runtime().restoreFrom(std::move(snap));
+  EXPECT_THROW(in.run(), CkptError);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Stress suite for the sharded fabric: many real threads hammering the
-// direct, rendezvous, snapshot, stats and fault paths at once. Meant to
-// run under -DXDP_SANITIZE=thread (ctest -L sanitize); the assertions
+// Stress suite for the fabric's single lock: many real threads hammering
+// the direct, rendezvous, snapshot, stats and fault paths at once. Meant
+// to run under -DXDP_SANITIZE=thread (ctest -L sanitize); the assertions
 // check conservation (every send completes exactly one receive), and TSan
 // checks the locking.
 #include <gtest/gtest.h>
@@ -57,8 +57,8 @@ TEST(FabricConcurrency, ConcurrentDirectPairs) {
 }
 
 // All senders publish to ONE name, all receivers post interest for it:
-// maximum pressure on the matcher lock and the publish-then-complete
-// retry protocol. Conservation must hold exactly.
+// maximum pressure on the rendezvous matcher's FCFS pairing.
+// Conservation must hold exactly.
 TEST(FabricConcurrency, RendezvousManyToManySameName) {
   constexpr int kProcs = 8;
   constexpr int kMsgs = 300;
@@ -84,8 +84,8 @@ TEST(FabricConcurrency, RendezvousManyToManySameName) {
 // Mixed traffic: every thread's receives use its own pid as the name, and
 // its partner sends to that name both directly and through the matcher —
 // so direct completions continuously race the receive's registered
-// rendezvous interest (the stale-entry retry path), while traffic stays
-// balanced per endpoint and must drain completely.
+// rendezvous interest (retired in O(1) on direct completion), while
+// traffic stays balanced per endpoint and must drain completely.
 TEST(FabricConcurrency, DirectAndRendezvousRaceOnOneName) {
   constexpr int kProcs = 6;
   constexpr int kRounds = 200;
@@ -122,11 +122,11 @@ TEST(FabricConcurrency, StatsAndClocksReadableMidRun) {
   std::atomic<int> received{0};
   std::thread monitor([&] {
     while (!done.load(std::memory_order_acquire)) {
-      // totalStats() reads endpoints one lock at a time (not one global
-      // cut), so cross-endpoint inequalities need an ordered read: sum
-      // the receivers (odd pids) BEFORE the senders. Receive counts can
-      // only lag their sends, and send counts only grow, so summing in
-      // this order keeps received <= sent even mid-run.
+      // Per-endpoint stats() reads are separate critical sections, so
+      // cross-endpoint inequalities need an ordered read: sum the
+      // receivers (odd pids) BEFORE the senders. Receive counts can only
+      // lag their sends, and send counts only grow, so summing in this
+      // order keeps received <= sent even mid-run.
       NetStats recv, sent;
       for (int p = 1; p < kProcs; p += 2) recv += f.stats(p);
       for (int p = 0; p < kProcs; p += 2) sent += f.stats(p);
@@ -158,8 +158,8 @@ TEST(FabricConcurrency, StatsAndClocksReadableMidRun) {
   EXPECT_EQ(received.load(), (kProcs / 2) * kMsgs);
 }
 
-// snapshot() takes every endpoint lock at once mid-traffic; it must not
-// deadlock against senders/receivers and must observe a consistent cut.
+// snapshot() reads every endpoint mid-traffic; it must not deadlock
+// against senders/receivers and must observe a consistent cut.
 TEST(FabricConcurrency, SnapshotDuringTraffic) {
   constexpr int kProcs = 6;
   constexpr int kMsgs = 300;
@@ -291,8 +291,8 @@ TEST(FabricConcurrency, FaultDecisionsIndependentOfInterleaving) {
 }
 
 // Barriers interleaved with traffic and concurrent makespan/stats reads:
-// exercises the barrierMu_ -> endpoint release path against endpoint-only
-// readers.
+// exercises the barrier's wait/release path (a condition variable over
+// the fabric lock) against concurrent readers.
 TEST(FabricConcurrency, BarrierWithConcurrentReaders) {
   constexpr int kProcs = 8;
   constexpr int kRounds = 50;
@@ -333,7 +333,7 @@ TEST(FabricConcurrency, BarrierWithConcurrentReaders) {
 }
 
 // Hot per-endpoint clock churn from every thread at once; totals must be
-// exact (each advance is applied under the endpoint lock).
+// exact (each advance is applied under the fabric lock).
 TEST(FabricConcurrency, ClockAdvancesAreNotLost) {
   constexpr int kProcs = 4;
   constexpr int kTicks = 2000;
