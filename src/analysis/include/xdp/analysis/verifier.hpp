@@ -116,7 +116,12 @@ struct VerifyResult {
   /// guard, and the step budget sufficed. When false the verifier may have
   /// stayed silent about parts of the program (never the reverse).
   bool exhaustive = true;
+  /// Logical abstract statements, counting replayed loop iterations as if
+  /// they had been executed (so the figure is independent of replay).
   std::uint64_t stmtsAnalyzed = 0;
+  /// Loop iterations that were not executed but replayed from an earlier,
+  /// state-preserving iteration of the same loop (see DESIGN.md §7).
+  std::uint64_t itersReplayed = 0;
   /// Populated when VerifyOptions::collectCost is set.
   std::vector<CostEvent> costEvents;
 
@@ -142,7 +147,7 @@ std::string formatDiagnostics(const il::Program& prog, const VerifyResult& r,
 /// (`xdpc --analyze --format=json`). Stable keys: every diagnostic is
 /// {"class","severity","file","line","col","pid","message"}, and the
 /// object carries {"diagnostics","errors","warnings","exhaustive",
-/// "stmts_analyzed"}.
+/// "stmts_analyzed","iters_replayed"}.
 std::string diagnosticsJson(const il::Program& prog, const VerifyResult& r,
                             const std::string& file = "");
 

@@ -9,11 +9,13 @@
 #include "xdp/analysis/verifier.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_set>
 #include <variant>
 
 #include "xdp/il/printer.hpp"
@@ -161,6 +163,21 @@ bool sameFrame(const Frame& a, const Frame& b) {
   return true;
 }
 
+/// sameFrame, but with doubles compared bit for bit, as loop replay needs:
+/// 0.0 == -0.0, yet 1.0 / x tells them apart.
+bool identicalFrame(const Frame& a, const Frame& b) {
+  if (!sameFrame(a, b)) return false;  // so the keys and types line up
+  for (auto ia = a.env.begin(), ib = b.env.begin(); ia != a.env.end();
+       ++ia, ++ib) {
+    const AbsVal& va = ia->second;
+    if (va && std::holds_alternative<double>(*va) &&
+        std::bit_cast<std::uint64_t>(std::get<double>(*va)) !=
+            std::bit_cast<std::uint64_t>(std::get<double>(*ib->second)))
+      return false;
+  }
+  return true;
+}
+
 /// Join `b` into `a`. The domain is deliberately shallow: any disagreement
 /// tops the symbol (or forgets the scalar). Precision after a join only
 /// matters for programs with data-dependent rules, which are outside the
@@ -215,12 +232,83 @@ struct AwaitRec {
   StmtPtr stmt;
 };
 
+// --- replayable loops -------------------------------------------------------
+
+// Does the subtree read, assign or rebind the scalar `v`?
+bool namesVar(const ExprPtr& e, const std::string& v);
+
+bool namesVar(const SectionExprPtr& se, const std::string& v) {
+  if (!se) return false;
+  for (const auto& t : se->dims)
+    if (namesVar(t.lb, v) || namesVar(t.ub, v) || namesVar(t.stride, v))
+      return true;
+  return namesVar(se->pid, v) || namesVar(se->a, v) || namesVar(se->b, v);
+}
+
+bool namesVar(const ExprPtr& e, const std::string& v) {
+  if (!e) return false;
+  if (e->kind == ExprKind::ScalarRef && e->name == v) return true;
+  return namesVar(e->lhs, v) || namesVar(e->rhs, v) ||
+         namesVar(e->section, v);
+}
+
+bool namesVar(const DestSpec& d, const std::string& v) {
+  for (const auto& p : d.pids)
+    if (namesVar(p, v)) return true;
+  return namesVar(d.section, v);
+}
+
+bool namesVar(const StmtPtr& s, const std::string& v) {
+  if (!s) return false;
+  if ((s->kind == StmtKind::ScalarAssign || s->kind == StmtKind::For) &&
+      s->name == v)
+    return true;
+  for (const auto& c : s->stmts)
+    if (namesVar(c, v)) return true;
+  for (const auto& arg : s->args)
+    if (namesVar(arg.second, v)) return true;
+  return namesVar(s->value, v) || namesVar(s->lhs, v) ||
+         namesVar(s->rhs, v) || namesVar(s->lb, v) || namesVar(s->ub, v) ||
+         namesVar(s->step, v) || namesVar(s->body, v) ||
+         namesVar(s->rule, v) || namesVar(s->sec2, v) ||
+         namesVar(s->dest, v) || namesVar(s->bindHint, v);
+}
+
+/// Collect the loops whose body never names the loop variable: one
+/// iteration of such a body is a function of the frame alone.
+void collectReplayable(const StmtPtr& s,
+                       std::unordered_set<const Stmt*>& out) {
+  if (!s) return;
+  if (s->kind == StmtKind::For && !namesVar(s->body, s->name))
+    out.insert(s.get());
+  for (const auto& c : s->stmts) collectReplayable(c, out);
+  collectReplayable(s->body, out);
+}
+
+/// Append `copies` more copies of v[from, end); copy j is shifted j*dseq
+/// later in program order.
+template <class T>
+void appendCopies(std::vector<T>& v, std::size_t from, std::uint64_t copies,
+                  std::int64_t dseq) {
+  const std::size_t to = v.size();
+  v.reserve(to + (to - from) * copies);
+  for (std::uint64_t j = 1; j <= copies; ++j) {
+    for (std::size_t x = from; x < to; ++x) {
+      T c = v[x];
+      if constexpr (requires { c.seq; })
+        c.seq += static_cast<int>(static_cast<std::int64_t>(j) * dseq);
+      v.push_back(std::move(c));
+    }
+  }
+}
+
 struct Shared {
   std::uint64_t steps = 0;
   std::vector<Event> events;
   std::set<int> poisonedSyms;  ///< name symbol had an unevaluable section
   std::set<std::pair<int, const Stmt*>> seenDiags;
   bool incomplete = false;  ///< some pid's abstract run aborted
+  std::unordered_set<const Stmt*> replayable;  ///< see collectReplayable
 };
 
 // --- the per-processor abstract executor -------------------------------------
@@ -397,19 +485,77 @@ class PidExec {
     requireAccessible(DiagKind::NotAccessible, s, s->sym, *pt, "write to");
   }
 
+  // Replay is tried from the second iteration on (the first may still
+  // create scalars), at most twice per loop execution, and only when it
+  // would skip at least two iterations.
+  static constexpr std::uint64_t kReplayMinRemaining = 2;
+  static constexpr int kReplayMaxAttempts = 2;
+
   void execFor(const StmtPtr& s) {
     std::optional<Index> lb = knownInt(evalValue(s->lb));
     std::optional<Index> ub = knownInt(evalValue(s->ub));
     std::optional<Index> stp =
         s->step ? knownInt(evalValue(s->step)) : std::optional<Index>(1);
-    if (lb && ub && stp && *stp > 0) {
-      for (Index i = *lb; i <= *ub; i += *stp) {
-        frame_.env[s->name] = Value(i);
-        exec(s->body);
-      }
+    if (!lb || !ub || !stp || *stp <= 0) {
+      widenLoop(s);
       return;
     }
-    widenLoop(s);
+    if (*lb > *ub) return;
+    const bool replayable = sh_.replayable.count(s.get()) != 0;
+    const auto ustep = static_cast<std::uint64_t>(*stp);
+    int attempts = 0;
+    for (Index i = *lb;;) {
+      frame_.env[s->name] = Value(i);
+      // As in both engines, termination is decided on the unsigned
+      // distance to ub, which is always in range: a bound near INT64_MAX
+      // cannot overflow `i + step`.
+      const std::uint64_t left =
+          static_cast<std::uint64_t>(*ub) - static_cast<std::uint64_t>(i);
+      if (replayable && i != *lb && attempts < kReplayMaxAttempts &&
+          left / ustep >= kReplayMinRemaining) {
+        ++attempts;
+        if (execAndReplay(s, i, left / ustep, *stp)) return;
+      } else {
+        exec(s->body);
+      }
+      if (left < ustep) return;
+      i += *stp;
+    }
+  }
+
+  /// Execute one iteration of the replayable loop `s` (its variable is
+  /// already `i`). If the iteration left the frame exactly as it found it,
+  /// every later iteration would repeat it statement for statement — the
+  /// body does not name the variable, and nothing else it reads changes —
+  /// so append `rem` copies of what it recorded instead of executing them
+  /// and return true. Diagnostics need no copies: the repeats would raise
+  /// only (kind, statement) pairs that seenDiags already holds.
+  bool execAndReplay(const StmtPtr& s, Index i, std::uint64_t rem, Index stp) {
+    const Frame before = frame_;
+    const std::size_t events0 = sh_.events.size();
+    const std::size_t awaits0 = awaits_.size();
+    const std::size_t recvInits0 = recvInits_.size();
+    const std::size_t cost0 = res_.costEvents.size();
+    const std::uint64_t steps0 = sh_.steps;
+    const int seq0 = seq_;
+    exec(s->body);
+    if (!identicalFrame(frame_, before)) return false;
+    const std::uint64_t k = sh_.steps - steps0;
+    // A replay that would cross the step budget iterates normally instead,
+    // so the budget trips at the same statement.
+    if (k > 0 && rem > (opts_.maxSteps - sh_.steps) / k) return false;
+    const std::int64_t dseq = seq_ - seq0;
+    appendCopies(sh_.events, events0, rem, dseq);
+    appendCopies(awaits_, awaits0, rem, dseq);
+    appendCopies(recvInits_, recvInits0, rem, dseq);
+    appendCopies(res_.costEvents, cost0, rem, dseq);
+    seq_ += static_cast<int>(static_cast<std::int64_t>(rem) * dseq);
+    sh_.steps += rem * k;
+    res_.stmtsAnalyzed += rem * k;
+    res_.itersReplayed += rem;
+    frame_.env[s->name] = Value(static_cast<Index>(
+        static_cast<std::uint64_t>(i) + rem * static_cast<std::uint64_t>(stp)));
+    return true;
   }
 
   /// Loop with a bound the analysis cannot evaluate: run the body to a
@@ -1100,7 +1246,8 @@ class PidExec {
 
 /// Maximum bipartite matching (Kuhn's augmenting paths) between the sends
 /// and receives of one (class, symbol, name-section) group, honoring bound
-/// destinations. Group sizes are tiny (per-name message counts).
+/// destinations. Groups without bound destinations are complete bipartite
+/// graphs and are matched by counting instead (see matchEvents).
 struct Group {
   std::vector<const Event*> sends;
   std::vector<const Event*> recvs;
@@ -1142,15 +1289,29 @@ void matchEvents(const Program& prog, const Shared& sh, VerifyResult& res) {
     if (groupConditional.count(key)) continue;  // cannot reason exactly
     std::vector<int> recvOf(g.recvs.size(), -1);
     std::vector<char> sendMatched(g.sends.size(), 0);
-    for (std::size_t si = 0; si < g.sends.size(); ++si) {
-      std::vector<char> visited(g.recvs.size(), 0);
-      if (augment(g, si, recvOf, visited)) sendMatched[si] = 1;
+    const bool complete =
+        std::none_of(g.sends.begin(), g.sends.end(),
+                     [](const Event* ev) { return ev->dests.has_value(); });
+    if (complete) {
+      // Every send can serve every receive. Kuhn's augmenting paths then
+      // always end at the first unmatched receive, so they match exactly
+      // the first min(S, R) sends and receives in event order; counting
+      // gives the same sets without Kuhn's O(S * R^2) failed searches.
+      const std::size_t m = std::min(g.sends.size(), g.recvs.size());
+      for (std::size_t x = 0; x < m; ++x) {
+        recvOf[x] = static_cast<int>(x);
+        sendMatched[x] = 1;
+      }
+    } else {
+      for (std::size_t si = 0; si < g.sends.size(); ++si) {
+        std::vector<char> visited(g.recvs.size(), 0);
+        augment(g, si, recvOf, visited);
+      }
+      // Derive which sends ended up matched (augmenting may reassign).
+      for (std::size_t ri = 0; ri < g.recvs.size(); ++ri)
+        if (recvOf[ri] >= 0)
+          sendMatched[static_cast<std::size_t>(recvOf[ri])] = 1;
     }
-    // Re-derive which sends ended up matched (augmenting may reassign).
-    std::fill(sendMatched.begin(), sendMatched.end(), 0);
-    for (std::size_t ri = 0; ri < g.recvs.size(); ++ri)
-      if (recvOf[ri] >= 0)
-        sendMatched[static_cast<std::size_t>(recvOf[ri])] = 1;
     auto push = [&](const Event& ev, DiagKind kind, const std::string& msg) {
       Diagnostic d;
       d.severity = Severity::Error;
@@ -1228,6 +1389,7 @@ VerifyResult verifyProgram(const il::Program& prog,
   XDP_CHECK(prog.body != nullptr, "program has no body");
   XDP_CHECK(prog.nprocs > 0, "program needs at least one processor");
   Shared sh;
+  collectReplayable(prog.body, sh.replayable);
   for (int pid = 0; pid < prog.nprocs; ++pid) {
     PidExec ex(prog, opts, sh, res, pid);
     ex.run();
@@ -1293,7 +1455,8 @@ std::string diagnosticsJson(const il::Program& prog, const VerifyResult& r,
   os << "],\"errors\":" << r.errors()
      << ",\"warnings\":" << r.count(Severity::Warning)
      << ",\"exhaustive\":" << (r.exhaustive ? "true" : "false")
-     << ",\"stmts_analyzed\":" << r.stmtsAnalyzed << "}";
+     << ",\"stmts_analyzed\":" << r.stmtsAnalyzed
+     << ",\"iters_replayed\":" << r.itersReplayed << "}";
   return os.str();
 }
 

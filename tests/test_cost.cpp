@@ -3,12 +3,16 @@
 // classes (data = payload bytes, ownership = zero bytes, ownership+value
 // = payload bytes), send-to-set fanout, conditional sends degrading the
 // model to inexact, the parametric lower-bound closed form on shift
-// sweeps, and the checked byte arithmetic rejecting overflowing extents.
+// sweeps, the checked byte arithmetic rejecting overflowing extents, and
+// predictions for loops the verifier replays equal to both engines'
+// NetStats.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "loop_programs.hpp"
 #include "xdp/analysis/cost.hpp"
+#include "xdp/apps/programs.hpp"
 #include "xdp/il/parser.hpp"
 #include "xdp/opt/passes.hpp"
 #include "xdp/support/check.hpp"
@@ -269,6 +273,57 @@ enddo
   EXPECT_EQ(r.bytesMoved, 384);
   EXPECT_EQ(r.messages, 12);
   EXPECT_LE(r.lowerBound(), r.bytesMoved);
+}
+
+// Runs `src` on `backend` and returns the fabric's totals.
+net::NetStats measured(const std::string& src, interp::Backend backend) {
+  il::Program prog = il::parseProgram(src);
+  interp::InterpOptions io;
+  io.backend = backend;
+  interp::Interpreter in(prog, rt::RuntimeOptions{}, io);
+  apps::registerFillKernel(in, 7);
+  in.run();
+  EXPECT_EQ(in.runtime().fabric().undeliveredCount(), 0u);
+  return in.runtime().fabric().totalStats();
+}
+
+TEST(CostModel, ReplayedLoopsMatchNetStats) {
+  // Most sweeps and jobs here are replayed by the verifier, not executed;
+  // the prediction must still be the engines' exact traffic.
+  const struct {
+    std::string src;
+    std::int64_t bytes, messages;
+  } cases[] = {
+      {testprogs::stencil(40), 1920, 240},
+      {testprogs::farm(400, 400), 3200, 400},
+      // `i += 1` would overflow past this bound: two iterations.
+      {R"(procs 2
+array A f64 [1:8] (BLOCK)
+
+fill(A[1:8])
+do i = 9223372036854775806, 9223372036854775807
+  (mypid == 0) : { A[1:4] -> {1} }
+  (mypid == 1) : {
+    A[5:8] <- A[1:4]
+    await(A[5:8])
+  }
+enddo
+)",
+       64, 2},
+  };
+  for (const auto& c : cases) {
+    CostReport r = costOf(c.src);
+    EXPECT_TRUE(r.exact) << c.src;
+    EXPECT_EQ(r.bytesMoved, c.bytes) << c.src;
+    EXPECT_EQ(r.messages, c.messages) << c.src;
+    for (interp::Backend be :
+         {interp::Backend::TreeWalk, interp::Backend::Bytecode}) {
+      const net::NetStats net = measured(c.src, be);
+      EXPECT_EQ(static_cast<std::int64_t>(net.bytesSent), c.bytes) << c.src;
+      EXPECT_EQ(static_cast<std::int64_t>(net.messagesSent), c.messages)
+          << c.src;
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 
 #include <sys/wait.h>
 
+#include "loop_programs.hpp"
+
 namespace {
 
 struct RunResult {
@@ -280,6 +282,25 @@ TEST(XdpcDriver, AnalyzeJsonKeepsTheExitContract) {
     EXPECT_NE(bad.output.find(key), std::string::npos) << key << "\n"
                                                        << bad.output;
   }
+}
+
+TEST(XdpcDriver, AnalyzeReportsReplayedLoopIterations) {
+  // 20 sweeps on 4 processors: each executes sweeps 1 and 2 and replays
+  // the remaining 18.
+  const std::string path =
+      writeTemp("xdpc_replay.xdp", xdp::testprogs::stencil(20));
+  RunResult text = runXdpc(path + " --analyze");
+  EXPECT_EQ(text.exitCode, 0) << text.output;
+  EXPECT_NE(text.output.find("(72 loop iterations replayed)"),
+            std::string::npos)
+      << text.output;
+  RunResult json = runXdpc(path + " --analyze --format=json");
+  EXPECT_EQ(json.exitCode, 0) << json.output;
+  EXPECT_EQ(numberAfter(json.output, "\"iters_replayed\":"), 72)
+      << json.output;
+  EXPECT_EQ(numberAfter(json.output, "\"stmts_analyzed\":"),
+            numberAfter(text.output, "analyzed "))
+      << json.output << text.output;
 }
 
 TEST(XdpcDriver, AutoPlaceAlignsVecaddAndComposesWithRun) {

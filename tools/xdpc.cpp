@@ -253,9 +253,10 @@ int main(int argc, char** argv) {
       } else {
         std::string report = analysis::formatDiagnostics(prog, r, file);
         if (!report.empty()) std::fprintf(stderr, "%s", report.c_str());
-        std::printf("xdpc: analyzed %llu abstract statements: %zu errors, "
-                    "%zu warnings%s\n",
+        std::printf("xdpc: analyzed %llu abstract statements (%llu loop "
+                    "iterations replayed): %zu errors, %zu warnings%s\n",
                     static_cast<unsigned long long>(r.stmtsAnalyzed),
+                    static_cast<unsigned long long>(r.itersReplayed),
                     r.errors(), r.count(analysis::Severity::Warning),
                     r.exhaustive ? "" : " (not exhaustive)");
       }
